@@ -130,6 +130,11 @@ pub fn fits_single_machine(t: &Rat, speed: &Rat, jobs: &[(Rat, Rat)]) -> bool {
 #[derive(Debug, Default)]
 pub struct EdfFirstFit {
     assignment: BTreeMap<JobId, usize>,
+    /// Jobs assigned to each machine, indexed by machine up to the highest
+    /// one assigned so far; finished jobs are pruned before each admission
+    /// round, so admission reads a machine's load without scanning every
+    /// active job.
+    loads: Vec<Vec<JobId>>,
 }
 
 impl EdfFirstFit {
@@ -153,25 +158,38 @@ impl OnlinePolicy for EdfFirstFit {
             .filter(|a| !self.assignment.contains_key(&a.job.id))
             .collect();
         new.sort_by_key(|a| a.job.id);
-        for a in new {
-            let mut chosen = None;
-            for m in 0..state.machines {
-                let mut load: Vec<(Rat, Rat)> = state
-                    .active
-                    .values()
-                    .filter(|o| self.assignment.get(&o.job.id) == Some(&m))
-                    .map(|o| (o.job.deadline.clone(), o.remaining.clone()))
-                    .collect();
-                load.push((a.job.deadline.clone(), a.remaining.clone()));
-                if fits_single_machine(state.time, state.speed, &load) {
-                    chosen = Some(m);
-                    break;
-                }
+        if !new.is_empty() {
+            for load in &mut self.loads {
+                load.retain(|id| state.active.contains_key(id));
             }
+        }
+        for a in new {
+            let own = (a.job.deadline.clone(), a.remaining.clone());
+            let fits_with = |ids: &[JobId]| {
+                let mut load: Vec<(Rat, Rat)> = ids
+                    .iter()
+                    .map(|id| {
+                        let o = &state.active[id];
+                        (o.job.deadline.clone(), o.remaining.clone())
+                    })
+                    .collect();
+                load.push(own.clone());
+                fits_single_machine(state.time, state.speed, &load)
+            };
+            // Machines past the last one in `loads` are all empty, so the
+            // first of them answers for the rest.
+            let opened = self.loads.len();
+            let chosen = (0..opened)
+                .find(|&m| fits_with(&self.loads[m]))
+                .or_else(|| (opened < state.machines && fits_with(&[])).then_some(opened));
             // If no machine fits (budget exhausted), overload the last
             // machine; the job will miss and the outcome records it.
             let m = chosen.unwrap_or(state.machines - 1);
             self.assignment.insert(a.job.id, m);
+            if self.loads.len() <= m {
+                self.loads.resize_with(m + 1, Vec::new);
+            }
+            self.loads[m].push(a.job.id);
         }
         // Per machine: run the assigned active job with the earliest deadline.
         let mut best: BTreeMap<usize, (&Rat, JobId)> = BTreeMap::new();
@@ -343,6 +361,99 @@ mod tests {
         let out = run_policy(&inst, EdfFirstFit::new(), SimConfig::nonmigratory(2)).unwrap();
         assert!(out.feasible());
         assert_eq!(out.machines_used(), 2);
+    }
+
+    /// The original admission rule, kept as an independent reference: for
+    /// every machine tried, rebuild its load by scanning all active jobs.
+    #[derive(Default)]
+    struct ScanFirstFit {
+        assignment: BTreeMap<JobId, usize>,
+    }
+
+    impl OnlinePolicy for ScanFirstFit {
+        fn decide(&mut self, state: &SimState<'_>) -> Decision {
+            let mut new: Vec<&ActiveJob> = state
+                .active
+                .values()
+                .filter(|a| !self.assignment.contains_key(&a.job.id))
+                .collect();
+            new.sort_by_key(|a| a.job.id);
+            for a in new {
+                let mut chosen = None;
+                for m in 0..state.machines {
+                    let mut load: Vec<(Rat, Rat)> = state
+                        .active
+                        .values()
+                        .filter(|o| self.assignment.get(&o.job.id) == Some(&m))
+                        .map(|o| (o.job.deadline.clone(), o.remaining.clone()))
+                        .collect();
+                    load.push((a.job.deadline.clone(), a.remaining.clone()));
+                    if fits_single_machine(state.time, state.speed, &load) {
+                        chosen = Some(m);
+                        break;
+                    }
+                }
+                let m = chosen.unwrap_or(state.machines - 1);
+                self.assignment.insert(a.job.id, m);
+            }
+            let mut best: BTreeMap<usize, (&Rat, JobId)> = BTreeMap::new();
+            for a in state.active.values() {
+                let Some(&m) = self.assignment.get(&a.job.id) else {
+                    continue;
+                };
+                match best.get(&m) {
+                    Some((d, id)) if (*d, *id) <= (&a.job.deadline, a.job.id) => {}
+                    _ => {
+                        best.insert(m, (&a.job.deadline, a.job.id));
+                    }
+                }
+            }
+            Decision {
+                run: best.into_iter().map(|(m, (_, j))| (m, j)).collect(),
+                wake_at: None,
+            }
+        }
+    }
+
+    #[test]
+    fn edf_first_fit_matches_the_scanning_reference() {
+        use mm_instance::generators::{agreeable, loose, uniform, AgreeableCfg, UniformCfg};
+        let cfg = UniformCfg {
+            n: 80,
+            ..Default::default()
+        };
+        let mut instances = Vec::new();
+        for seed in 0..3 {
+            instances.push(uniform(&cfg, seed));
+            instances.push(agreeable(
+                &AgreeableCfg {
+                    n: 80,
+                    ..Default::default()
+                },
+                seed,
+            ));
+            instances.push(loose(&cfg, &Rat::half(), seed));
+        }
+        let mut overloaded = 0;
+        for inst in &instances {
+            // Ample budget, then budgets small enough that every machine
+            // is full and the last one takes the overflow.
+            for budget in [inst.len(), 3, 1] {
+                let mut fast = EdfFirstFit::new();
+                let mut reference = ScanFirstFit::default();
+                let cfg = SimConfig::nonmigratory(budget);
+                let mut a = run_policy(inst, &mut fast, cfg.clone()).unwrap();
+                let mut b = run_policy(inst, &mut reference, cfg).unwrap();
+                assert_eq!(a.schedule.segments(), b.schedule.segments());
+                assert_eq!(a.misses, b.misses);
+                assert_eq!(a.steps, b.steps);
+                assert_eq!(fast.assignment, reference.assignment);
+                if !a.misses.is_empty() {
+                    overloaded += 1;
+                }
+            }
+        }
+        assert!(overloaded > 0, "no run exhausted its machine budget");
     }
 
     #[test]

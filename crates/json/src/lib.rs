@@ -273,6 +273,7 @@ impl std::error::Error for ParseError {}
 /// Parses one JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -286,6 +287,7 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -395,6 +397,17 @@ impl Parser<'_> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or backslash in one piece.
+            // Both ends of the run sit next to ASCII bytes (or the end of
+            // input), so it is whole UTF-8 and the slice cannot split a
+            // character.
+            let start = self.pos;
+            let run = self.bytes[start..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - start);
+            self.pos += run;
+            out.push_str(&self.text[start..self.pos]);
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
@@ -440,15 +453,7 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                Some(_) => unreachable!("the run stops only at a quote, a backslash or the end"),
             }
         }
     }

@@ -12,7 +12,7 @@
 //! lower-bound adversary of Lemma 2, which releases jobs *in reaction to* the
 //! policy's observable assignments.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 
 use mm_fault::{FaultInjector, FaultSite};
 use mm_instance::{Instance, Job, JobId};
@@ -330,8 +330,13 @@ impl<P: OnlinePolicy, S: TraceSink> Simulation<P, S> {
     ) -> Self {
         let mut sim = Simulation::with_sink(cfg, policy, sink);
         for job in instance.iter() {
-            sim.push_job(job.clone());
+            sim.check_release(job);
         }
+        sim.all_jobs = instance.iter().cloned().collect();
+        // One stable sort leaves ties in injection order, exactly as
+        // inserting the jobs one at a time does.
+        sim.pending = sim.all_jobs.clone();
+        sim.pending.sort_by(|a, b| b.release.cmp(&a.release));
         sim
     }
 
@@ -358,7 +363,7 @@ impl<P: OnlinePolicy, S: TraceSink> Simulation<P, S> {
         &self.injector
     }
 
-    fn push_job(&mut self, job: Job) {
+    fn check_release(&self, job: &Job) {
         assert!(
             job.release >= self.time,
             "cannot inject {} released at {} before current time {}",
@@ -366,16 +371,19 @@ impl<P: OnlinePolicy, S: TraceSink> Simulation<P, S> {
             job.release,
             self.time
         );
-        self.all_jobs.push(job.clone());
-        self.pending.push(job);
-        self.pending.sort_by(|a, b| b.release.cmp(&a.release));
     }
 
     /// Injects a new job with the next free id; release must be ≥ current
     /// time. Returns the assigned id.
     pub fn inject(&mut self, release: Rat, deadline: Rat, processing: Rat) -> JobId {
         let id = JobId(self.all_jobs.len() as u32);
-        self.push_job(Job::new(id, release, deadline, processing));
+        let job = Job::new(id, release, deadline, processing);
+        self.check_release(&job);
+        self.all_jobs.push(job.clone());
+        // Behind every job released no earlier: ties pop (from the back)
+        // latest-injected first.
+        let at = self.pending.partition_point(|p| p.release >= job.release);
+        self.pending.insert(at, job);
         id
     }
 
@@ -572,21 +580,20 @@ impl<P: OnlinePolicy, S: TraceSink> Simulation<P, S> {
             self.policy.decide(&state)
         };
 
-        // Validate the decision.
-        let mut used_machines = vec![false; self.cfg.machines];
-        let mut used_jobs: Vec<JobId> = Vec::with_capacity(decision.run.len());
+        // Validate the decision in O(|run|): the machine count may be far
+        // larger than the number of jobs running.
+        let mut used_machines = HashSet::with_capacity(decision.run.len());
+        let mut used_jobs = HashSet::with_capacity(decision.run.len());
         for &(machine, job) in &decision.run {
             if machine >= self.cfg.machines {
                 return Err(SimError::MachineOutOfRange { machine });
             }
-            if used_machines[machine] {
+            if !used_machines.insert(machine) {
                 return Err(SimError::DuplicateMachine { machine });
             }
-            used_machines[machine] = true;
-            if used_jobs.contains(&job) {
+            if !used_jobs.insert(job) {
                 return Err(SimError::DuplicateJob { job });
             }
-            used_jobs.push(job);
             let Some(a) = self.active.get(&job) else {
                 return Err(SimError::UnknownJob { job });
             };

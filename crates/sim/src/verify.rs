@@ -214,8 +214,16 @@ pub fn verify(
         }
     }
 
+    // Each job's volume in one pass over the segments, summed in segment
+    // order as `Schedule::processed` does.
+    let mut volumes = vec![Rat::zero(); instance.len()];
+    for seg in schedule.raw_segments() {
+        if let Some(v) = volumes.get_mut(seg.job.index()) {
+            *v += seg.volume();
+        }
+    }
     for job in instance.iter() {
-        let processed = schedule.processed(job.id);
+        let processed = std::mem::take(&mut volumes[job.id.index()]);
         let ok = if opts.allow_partial {
             processed <= job.processing
         } else {
@@ -231,7 +239,7 @@ pub fn verify(
     }
 
     // Per-machine overlap: segments are sorted by (machine, start).
-    let segs: Vec<Segment> = schedule.raw_segments().to_vec();
+    let segs = schedule.raw_segments();
     for pair in segs.windows(2) {
         let (a, b) = (&pair[0], &pair[1]);
         if a.machine == b.machine && b.interval.start < a.interval.end {
@@ -246,10 +254,10 @@ pub fn verify(
 
     // Per-job self-parallelism across machines.
     let mut by_job: std::collections::BTreeMap<JobId, Vec<&Segment>> = Default::default();
-    for s in &segs {
+    for s in segs {
         by_job.entry(s.job).or_default().push(s);
     }
-    for (job, mut list) in by_job.clone() {
+    for (&job, list) in &mut by_job {
         list.sort_by(|a, b| a.interval.start.cmp(&b.interval.start));
         for pair in list.windows(2) {
             if pair[1].interval.start < pair[0].interval.end {
@@ -381,6 +389,58 @@ mod tests {
         assert!(errs
             .iter()
             .any(|e| matches!(e, ScheduleError::UnknownJob { job: JobId(9) })));
+    }
+
+    #[test]
+    fn reports_every_violation_in_order() {
+        let inst = two_jobs();
+        let mut s = Schedule::new();
+        s.push_unit(0, JobId(0), rat(0), rat(2));
+        s.push_unit(0, JobId(1), rat(1), rat(3)); // overlaps j0 on machine 0
+        s.push_unit(1, JobId(0), rat(1), rat(2)); // j0 in parallel with itself
+        s.push_unit(2, JobId(9), rat(0), rat(1)); // not in the instance
+        s.push_unit(3, JobId(1), rat(0), rat(1)); // before j1's release
+        let errs = verify(&inst, &mut s, &VerifyOptions::nonpreemptive()).unwrap_err();
+        assert_eq!(
+            errs,
+            vec![
+                ScheduleError::UnknownJob { job: JobId(9) },
+                ScheduleError::OutsideWindow {
+                    job: JobId(1),
+                    segment: Interval::ints(0, 1),
+                },
+                ScheduleError::WrongVolume {
+                    job: JobId(0),
+                    processed: rat(3),
+                    required: rat(2),
+                },
+                ScheduleError::WrongVolume {
+                    job: JobId(1),
+                    processed: rat(3),
+                    required: rat(2),
+                },
+                ScheduleError::MachineOverlap {
+                    machine: 0,
+                    first: JobId(0),
+                    second: JobId(1),
+                    at: rat(1),
+                },
+                ScheduleError::ParallelSelf {
+                    job: JobId(0),
+                    at: rat(1),
+                },
+                ScheduleError::Migration {
+                    job: JobId(0),
+                    machines: vec![0, 1],
+                },
+                ScheduleError::Migration {
+                    job: JobId(1),
+                    machines: vec![0, 3],
+                },
+                ScheduleError::Preemption { job: JobId(0) },
+                ScheduleError::Preemption { job: JobId(1) },
+            ]
+        );
     }
 
     #[test]

@@ -443,3 +443,115 @@ fn with_max_steps_is_honored_with_trace_event() {
         1
     );
 }
+
+/// Release order under the original pending-queue rule: every push re-sorts
+/// the queue by release, descending, with a stable sort, and due jobs pop
+/// from the back. Returns the ids in the order they are released.
+fn stable_sort_release_order(batches: &[(i64, Vec<(JobId, i64)>)]) -> Vec<JobId> {
+    let mut pending: Vec<(JobId, i64)> = Vec::new();
+    let mut order = Vec::new();
+    for (until, batch) in batches {
+        for &job in batch {
+            pending.push(job);
+            pending.sort_by_key(|&(_, r)| std::cmp::Reverse(r));
+        }
+        while pending.last().is_some_and(|&(_, r)| r < *until) {
+            order.push(pending.pop().unwrap().0);
+        }
+    }
+    order
+}
+
+fn released_ids(sink: &mm_trace::VecSink) -> Vec<JobId> {
+    sink.events
+        .iter()
+        .filter_map(|e| match e {
+            mm_trace::TraceEvent::JobReleased { job, .. } => Some(JobId(*job)),
+            _ => None,
+        })
+        .collect()
+}
+
+#[test]
+fn out_of_order_injections_release_ties_in_stable_sort_order() {
+    let first = [3, 1, 3, 0, 2, 1, 3, 0, 2, 5];
+    let second = [5, 2, 4, 2, 5, 3];
+    let mut sink = mm_trace::VecSink::new();
+    let mut sim = Simulation::with_sink(SimConfig::migratory(64), EdfTest, &mut sink);
+    let mut batches = Vec::new();
+    let batch: Vec<_> = first
+        .iter()
+        .map(|&r| (sim.inject(rat(r), rat(r + 10), rat(1)), r))
+        .collect();
+    batches.push((2, batch));
+    sim.run_until(&rat(2)).unwrap();
+    let batch: Vec<_> = second
+        .iter()
+        .map(|&r| (sim.inject(rat(r), rat(r + 10), rat(1)), r))
+        .collect();
+    batches.push((i64::MAX, batch));
+    let out = sim.finish().unwrap();
+    assert!(out.feasible());
+    assert_eq!(released_ids(&sink), stable_sort_release_order(&batches));
+    assert_eq!(released_ids(&sink).len(), first.len() + second.len());
+
+    // A preloaded instance releases its ties the same way.
+    let inst = Instance::from_ints([(2, 9, 1), (0, 9, 1), (2, 9, 1), (0, 5, 1), (2, 7, 1)]);
+    let mut sink = mm_trace::VecSink::new();
+    mm_sim::run_policy_traced(&inst, EdfTest, SimConfig::migratory(8), &mut sink).unwrap();
+    let loaded: Vec<_> = inst
+        .iter()
+        .map(|j| (j.id, j.release.ceil_u64() as i64))
+        .collect();
+    assert_eq!(
+        released_ids(&sink),
+        stable_sort_release_order(&[(i64::MAX, loaded)])
+    );
+}
+
+#[test]
+fn decision_errors_keep_their_order() {
+    struct Fixed(Vec<(usize, JobId)>);
+    impl OnlinePolicy for Fixed {
+        fn decide(&mut self, _state: &SimState<'_>) -> Decision {
+            Decision {
+                run: self.0.clone(),
+                wake_at: None,
+            }
+        }
+    }
+    let inst = Instance::from_ints([(0, 4, 1), (0, 4, 1)]);
+    let (j0, j1, ghost) = (JobId(0), JobId(1), JobId(9));
+    let cases = [
+        // The machine is checked before the job.
+        (
+            vec![(0, j0), (0, j0)],
+            SimError::DuplicateMachine { machine: 0 },
+        ),
+        // The first bad pair wins, whatever a later pair does wrong.
+        (
+            vec![(0, j0), (1, j0), (1, j1)],
+            SimError::DuplicateJob { job: j0 },
+        ),
+        (
+            vec![(1, j0), (7, j0)],
+            SimError::MachineOutOfRange { machine: 7 },
+        ),
+        (
+            vec![(0, ghost), (0, j0)],
+            SimError::UnknownJob { job: ghost },
+        ),
+        (
+            vec![(1, ghost), (0, ghost)],
+            SimError::UnknownJob { job: ghost },
+        ),
+        (
+            vec![(3, j1), (0, j0), (3, j0)],
+            SimError::DuplicateMachine { machine: 3 },
+        ),
+    ];
+    for (run, want) in cases {
+        let err = run_policy(&inst, Fixed(run.clone()), SimConfig::migratory(4)).unwrap_err();
+        assert_eq!(err, want, "{run:?}");
+    }
+}
