@@ -7,17 +7,34 @@
 //! (c) every admitted request gets **exactly one** terminal response, under
 //!     arbitrary fault plans and queue pressure.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel;
 use mm_fault::{FaultPlan, FaultRule, FaultSite, RetryPolicy};
 use mm_serve::{DynSink, Replay, Request, RequestKind, Response, ServeConfig, Service};
-use mm_trace::NoopSink;
+use mm_trace::{NoopSink, TraceEvent, TraceSink};
 use proptest::prelude::*;
 
 fn sink() -> DynSink {
     DynSink::new(Box::new(NoopSink))
+}
+
+/// Counts `request_completed` events: a side-effect-free view of how many
+/// responses the service has fully accounted.
+struct CompletedCounter(Arc<AtomicU64>);
+
+impl TraceSink for CompletedCounter {
+    fn enabled(&self) -> bool {
+        true
+    }
+
+    fn record(&mut self, event: &TraceEvent) {
+        if matches!(event, TraceEvent::RequestCompleted { .. }) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
 }
 
 fn splitmix(state: &mut u64) -> u64 {
@@ -269,8 +286,8 @@ fn restart_resumes_pending_requests_without_duplicating_acks() {
 /// chaos runs — same seed, same fault plan, one worker so fault-site hits
 /// land in submission order — must answer the final stats scrape with
 /// byte-identical lines. `counters_only` strips every wall-clock field and
-/// zeroes the scrape-cadence counter, so polling until the registry catches
-/// up cannot perturb the compared reply.
+/// zeroes the scrape-cadence counter; the run waits for the registry
+/// through a trace sink and then scrapes exactly once.
 #[test]
 fn stats_are_byte_identical_across_seeded_chaos_reruns() {
     fn chaos_run(seed: u64, n: u64) -> String {
@@ -297,7 +314,14 @@ fn stats_are_byte_identical_across_seeded_chaos_reruns() {
             plan,
             ..ServeConfig::default()
         };
-        let service = Service::start(cfg, sink()).unwrap();
+        // The supervisor flushes a response into the registry after sending
+        // it and only then emits `request_completed`, so counting those
+        // events tells when all `n` are accounted for without touching any
+        // served counter (a polling `stats` request would bump
+        // `serve.received` once per poll).
+        let completed = Arc::new(AtomicU64::new(0));
+        let counter = CompletedCounter(Arc::clone(&completed));
+        let service = Service::start(cfg, DynSink::new(Box::new(counter))).unwrap();
         let (tx, rx) = channel::unbounded();
         for id in 0..n {
             service.submit_line(&request(id, seed).to_line(), &tx);
@@ -306,39 +330,26 @@ fn stats_are_byte_identical_across_seeded_chaos_reruns() {
             rx.recv_timeout(Duration::from_secs(60))
                 .expect("every request answered");
         }
-        // Per-kind response counters are flushed by the supervisor after the
-        // reply is sent, so poll until the scrape accounts for all `n`
-        // responses before freezing the line to compare.
         let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        loop {
-            let stats_req = Request::new(
-                1_000_000,
-                RequestKind::Stats {
-                    prometheus: false,
-                    counters_only: true,
-                },
-            );
-            service.submit_line(&stats_req.to_line(), &tx);
-            let line = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-            let json = mm_json::parse(&line).unwrap();
-            let accounted: i64 = json
-                .get("registry")
-                .and_then(|r| r.get("counters"))
-                .and_then(|c| c.as_obj())
-                .map(|members| {
-                    members
-                        .iter()
-                        .filter(|(k, _)| k.starts_with("responses."))
-                        .filter_map(|(_, v)| v.as_i64())
-                        .sum()
-                })
-                .unwrap_or(0);
-            if accounted == n as i64 || std::time::Instant::now() > deadline {
-                service.join();
-                return line;
-            }
-            std::thread::sleep(Duration::from_millis(5));
+        while completed.load(Ordering::SeqCst) < n && std::time::Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
         }
+        assert_eq!(
+            completed.load(Ordering::SeqCst),
+            n,
+            "responses never flushed"
+        );
+        let stats_req = Request::new(
+            1_000_000,
+            RequestKind::Stats {
+                prometheus: false,
+                counters_only: true,
+            },
+        );
+        service.submit_line(&stats_req.to_line(), &tx);
+        let line = rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        service.join();
+        line
     }
     for seed in [3u64, 1977, 0xDEAD_BEEF] {
         let a = chaos_run(seed, 10);

@@ -37,17 +37,14 @@ use mm_trace::{
 
 pub use crate::Error;
 
-/// A parsed command line.
+/// A parsed command line; its flags, defaults and help live in [`SPECS`].
 // One `Command` exists per process and lives on the stack for the whole
 // run, so the size skew between the flag-heavy `Cluster` variant and the
 // rest costs nothing; boxing fields would only obscure the parser.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[allow(clippy::large_enum_variant)]
 pub enum Command {
-    /// `solve <instance.json> [--trace f.jsonl] [--metrics f.json]
-    /// [--budget-augmentations N] [--budget-ms N] [--budget-nodes N]
-    /// [--attempts K]` — exact optimum + Theorem 1 certificate; with a
-    /// budget, geometric escalation then a certified bracket.
+    /// `solve` — exact optimum + Theorem 1 certificate.
     Solve {
         /// Instance file.
         path: String,
@@ -60,13 +57,12 @@ pub enum Command {
         /// Aggregated metrics JSON output file.
         metrics: Option<String>,
     },
-    /// `classify <instance.json>` — structure, Δ, looseness report.
+    /// `classify` — structure, Δ, looseness report.
     Classify {
         /// Instance file.
         path: String,
     },
-    /// `schedule <instance.json> --policy <name> [--machines N]
-    /// [--trace f.jsonl] [--metrics f.json]`.
+    /// `schedule` — run an online policy and verify its schedule.
     Schedule {
         /// Instance file.
         path: String,
@@ -79,12 +75,12 @@ pub enum Command {
         /// Aggregated metrics JSON output file.
         metrics: Option<String>,
     },
-    /// `demigrate <instance.json>` — offline migratory → non-migratory.
+    /// `demigrate` — offline migratory → non-migratory.
     Demigrate {
         /// Instance file.
         path: String,
     },
-    /// `generate <family> --n N --seed S --out <file.json>`.
+    /// `generate` — write a seeded instance of one family.
     Generate {
         /// Family: uniform, agreeable, laminar, loose.
         family: String,
@@ -95,10 +91,7 @@ pub enum Command {
         /// Output file.
         out: String,
     },
-    /// `adversary --policy <edf-ff|medium-fit> [--k K] [--machines N]
-    /// [--checkpoint f.json [--resume]] [--export-stream f.jsonl]` —
-    /// migration-gap sweep over depths `k = 2..=K`, checkpointing each
-    /// completed depth.
+    /// `adversary` — migration-gap sweep over depths `k = 2..=K`.
     Adversary {
         /// Policy under attack (edf-ff, medium-fit).
         policy: String,
@@ -118,10 +111,7 @@ pub enum Command {
         /// Aggregated metrics JSON output file.
         metrics: Option<String>,
     },
-    /// `online run --stream f.jsonl [--member M]` / `online race [--seed S]
-    /// [--n N] [--k K] [--members LIST] [--out f.json]` — replay an event
-    /// stream through one portfolio member, or race the whole portfolio on
-    /// generated agreeable/laminar streams plus the adversary construction.
+    /// `online run|race` — replay a stream, or race the portfolio.
     Online {
         /// Subcommand (`run` or `race`).
         mode: String,
@@ -144,9 +134,7 @@ pub enum Command {
         /// Aggregated metrics JSON output file.
         metrics: Option<String>,
     },
-    /// `chaos [--seed S] [--n N] [--plan f.json]` — deterministic
-    /// fault-injection run exercising every [`FaultSite`] against the full
-    /// stack; `--plan` replaces the derived chaos plan with an explicit one.
+    /// `chaos` — a deterministic run exercising every [`FaultSite`].
     Chaos {
         /// Seed deriving the fault plan and the workload.
         seed: u64,
@@ -159,50 +147,18 @@ pub enum Command {
         /// Aggregated metrics JSON output file.
         metrics: Option<String>,
     },
-    /// `bench [--quick] [--serve | --cluster | --obs] [--out f.json]
-    /// [--check f.json]` — tracked performance baseline (see
-    /// `mm_bench::baseline`); `--serve` benchmarks the service layer
-    /// instead (closed-loop client, latency quantiles and shed rate,
-    /// default out `BENCH_4.json`); `--cluster` benchmarks the
-    /// scatter–gather coordinator over an in-process backend pool
-    /// (default out `BENCH_5.json`); `--obs` gates the observability
-    /// layer (traced execution byte-identical to untraced, solver
-    /// counters unchanged, stats histograms an exact account of served
-    /// requests; default out `BENCH_6.json`).
+    /// `bench` — one tracked benchmark suite (see [`BenchSuite`]).
     Bench {
         /// Run the reduced workload set (CI smoke mode).
         quick: bool,
-        /// Benchmark `machmin serve` instead of the solver baseline.
-        serve: bool,
-        /// Benchmark the `mm-cluster` coordinator instead.
-        cluster: bool,
-        /// Gate the observability layer instead.
-        obs: bool,
-        /// Benchmark the large-n certifier hot path instead
-        /// (default out `BENCH_7.json`).
-        large: bool,
-        /// Benchmark elastic membership churn instead
-        /// (default out `BENCH_8.json`).
-        churn: bool,
-        /// Gate proof-carrying verification instead: honest pool vs. a
-        /// pool with one Byzantine backend (default out `BENCH_9.json`).
-        verify: bool,
-        /// Benchmark + gate the online portfolio race instead: measured
-        /// competitive ratios, byte-identical rerun, theorem bounds
-        /// (default out `BENCH_10.json`).
-        online: bool,
-        /// Baseline JSON output file (default `BENCH_2.json`).
+        /// The suite to run.
+        suite: BenchSuite,
+        /// Baseline JSON output file (default [`BenchSuite::default_out`]).
         out: String,
         /// Committed baseline to gate deterministic counters against.
         check: Option<String>,
     },
-    /// `certcheck [--seed S] [--cases N] [--pool [--corrupt]] [--out
-    /// f.txt]` — deterministic certifier-vs-flow verdict cross-check; the
-    /// report carries no wall times, so same-seed runs are byte-identical
-    /// (CI diffs them). `--pool` runs the same seeded case batch against a
-    /// live in-process backend pool with `--verify all` instead: every
-    /// proof-carrying answer is re-checked coordinator-side, and `--corrupt`
-    /// plants one Byzantine backend to prove the refutation path fires.
+    /// `certcheck` — certifier-vs-flow verdict cross-check.
     CertCheck {
         /// Base seed for the instance batch.
         seed: u64,
@@ -215,12 +171,7 @@ pub enum Command {
         /// Optional file to write the report to (stdout otherwise).
         out: Option<String>,
     },
-    /// `serve [--addr A] [--workers N] [--queue-cap N] [--drain-ms N]
-    /// [--seed S] [--retry-attempts N] [--chaos | --plan f.json]
-    /// [--journal f.jsonl] [--deadline-ms N] [--port-file f]
-    /// [--trace f.jsonl] [--metrics f.json]` — supervised JSONL-over-TCP
-    /// request server with bounded admission, panic recovery, and a
-    /// crash-safe journal.
+    /// `serve` — supervised JSONL-over-TCP request server.
     Serve {
         /// Listen address (`127.0.0.1:0` picks a free port).
         addr: String,
@@ -249,11 +200,7 @@ pub enum Command {
         /// Aggregated metrics JSON output file.
         metrics: Option<String>,
     },
-    /// `load --addr A [--n N] [--seed S] [--paced] [--window W]
-    /// [--deadline-ms N] [--out f] [--hist f.json] [--no-shutdown]` —
-    /// deterministic load client for a running server; writes the
-    /// response transcript and, with `--hist`, the client-side latency
-    /// histogram (same bucket scheme as the server's `stats` endpoint).
+    /// `load` — deterministic load client for a running server.
     Load {
         /// Server address to connect to.
         addr: String,
@@ -274,14 +221,9 @@ pub enum Command {
         /// Send a shutdown request after the run (drains the server).
         shutdown: bool,
     },
-    /// `cluster <solve|sweep|grid|stats> --backends a,b,c [...]` —
-    /// scatter–gather coordinator over a pool of running `machmin serve`
-    /// backends: pluggable balancing, hedged requests, bounded retries,
-    /// backend quarantine, and byte-identical same-seed transcripts. The
-    /// `stats` workload scrapes every backend's live registry and prints
-    /// the bucket-exact pool-wide merge.
+    /// `cluster` — scatter–gather over a pool of `machmin serve` backends.
     Cluster {
-        /// Workload: `solve`, `sweep`, `grid`, or `stats`.
+        /// Workload: `solve`, `sweep`, `grid`, `online`, or `stats`.
         workload: String,
         /// Instance file (solve workload only).
         path: Option<String>,
@@ -340,11 +282,7 @@ pub enum Command {
         /// Aggregated metrics JSON output file.
         metrics: Option<String>,
     },
-    /// `top --backends a,b,c [--interval-s N] [--frames N]` — live
-    /// terminal view over a backend pool's `stats` endpoints: per-backend
-    /// uptime, queue depth, in-flight count, and latency quantiles, plus
-    /// the pool-wide merge and the slowest recent spans. One-shot by
-    /// default; `--interval-s` refreshes until `--frames` frames printed.
+    /// `top` — live terminal view over a backend pool's `stats` endpoints.
     Top {
         /// Backend addresses (`--backends host:p1,host:p2,...`).
         backends: Vec<String>,
@@ -357,559 +295,715 @@ pub enum Command {
     Help,
 }
 
-fn flag(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
+/// The `machmin bench` suites; each writes its own committed baseline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BenchSuite {
+    /// Solver probes vs the BigInt + fresh-network reference.
+    Baseline,
+    /// The service layer: closed-loop client, latency quantiles, shed rate.
+    Serve,
+    /// The scatter–gather coordinator over an in-process backend pool.
+    Cluster,
+    /// The observability layer.
+    Obs,
+    /// The large-n certifier hot path.
+    Large,
+    /// Elastic membership churn.
+    Churn,
+    /// Proof-carrying verification: honest pool vs one Byzantine backend.
+    Verify,
+    /// The online portfolio race's measured competitive ratios.
+    Online,
 }
 
-/// Like [`flag`], but a flag present without a value is an error instead of
-/// being silently ignored (a typo'd `--trace` must not drop the trace).
-fn value_flag(args: &[String], name: &str) -> Result<Option<String>, Error> {
-    match args.iter().position(|a| a == name) {
-        None => Ok(None),
-        Some(i) => match args.get(i + 1) {
-            Some(v) => Ok(Some(v.clone())),
-            None => Err(Error::Usage(format!("{name} requires a value"))),
-        },
+impl BenchSuite {
+    /// The switch selecting each non-default suite.
+    const FLAGS: [(&'static str, BenchSuite); 7] = [
+        ("--serve", BenchSuite::Serve),
+        ("--cluster", BenchSuite::Cluster),
+        ("--obs", BenchSuite::Obs),
+        ("--large", BenchSuite::Large),
+        ("--churn", BenchSuite::Churn),
+        ("--verify", BenchSuite::Verify),
+        ("--online", BenchSuite::Online),
+    ];
+
+    /// The committed baseline file this suite writes by default.
+    pub fn default_out(self) -> &'static str {
+        match self {
+            BenchSuite::Baseline => "BENCH_2.json",
+            BenchSuite::Serve => "BENCH_4.json",
+            BenchSuite::Cluster => "BENCH_5.json",
+            BenchSuite::Obs => "BENCH_6.json",
+            BenchSuite::Large => "BENCH_7.json",
+            BenchSuite::Churn => "BENCH_8.json",
+            BenchSuite::Verify => "BENCH_9.json",
+            BenchSuite::Online => "BENCH_10.json",
+        }
     }
 }
 
-/// A numeric [`value_flag`]; a present-but-unparsable value is a usage error.
-fn num_flag<T: std::str::FromStr>(args: &[String], name: &str) -> Result<Option<T>, Error> {
-    match value_flag(args, name)? {
-        None => Ok(None),
-        Some(v) => v
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| Error::Usage(format!("invalid {name} value: {v}"))),
+/// What a flag stands for when it is not given.
+#[derive(Clone, Copy)]
+enum Absent {
+    /// A switch is off; a value flag is `None`.
+    Unset,
+    /// The flag reads as this value.
+    Or(&'static str),
+    /// Leaving the flag out is a usage error.
+    Required,
+}
+
+use Absent::{Or, Required, Unset};
+
+/// One row of a subcommand's flag table.
+struct Flag {
+    name: &'static str,
+    /// Metavariable of the value; empty for a switch.
+    meta: &'static str,
+    absent: Absent,
+    help: &'static str,
+}
+
+const fn flag(name: &'static str, meta: &'static str, absent: Absent, help: &'static str) -> Flag {
+    Flag {
+        name,
+        meta,
+        absent,
+        help,
+    }
+}
+
+/// One subcommand: its positionals, what it does, and its flag table.
+struct Spec {
+    name: &'static str,
+    /// Positional metavariables, in order; a `[bracketed]` one is optional.
+    args: &'static [&'static str],
+    /// What the command does, one help line each.
+    about: &'static [&'static str],
+    flags: &'static [Flag],
+}
+
+#[rustfmt::skip]
+const TRACE: Flag = flag("--trace", "f.jsonl", Unset, "stream typed events, one JSON object per line");
+#[rustfmt::skip]
+const METRICS: Flag = flag("--metrics", "f.json", Unset, "write aggregated counters and histograms");
+
+/// Every subcommand the parser accepts, in `machmin help` order.
+#[rustfmt::skip]
+const SPECS: &[Spec] = &[
+    Spec { name: "solve", args: &["<instance.json>"], about: &[
+        "exact migratory optimum + Theorem 1 certificate; a spent budget settles for a",
+        "certified bracket [lo, hi] (still exit code 0)",
+    ], flags: &[
+        TRACE,
+        METRICS,
+        flag("--budget-augmentations", "N", Unset, "cancel a probe after N augmenting paths"),
+        flag("--budget-ms", "N", Unset, "cancel a probe after N wall-clock ms"),
+        flag("--budget-nodes", "N", Unset, "refuse flow networks larger than N nodes"),
+        flag("--attempts", "K", Or("3"), "escalation attempts, doubling the budget each time"),
+    ]},
+    Spec { name: "classify", args: &["<instance.json>"],
+        about: &["structure (agreeable/laminar), Δ, looseness"], flags: &[] },
+    Spec { name: "schedule", args: &["<instance.json>"],
+        about: &["run an online policy and verify its schedule"], flags: &[
+        flag("--policy", "P", Required, "edf, llf, edf-ff, medium-fit, agreeable, laminar"),
+        flag("--machines", "N", Unset, "machine budget (default: one per job)"),
+        TRACE,
+        METRICS,
+    ]},
+    Spec { name: "demigrate", args: &["<instance.json>"],
+        about: &["offline migratory → non-migratory transformation"], flags: &[] },
+    Spec { name: "generate", args: &["<uniform|agreeable|laminar|loose>"],
+        about: &["write a seeded instance of one family"], flags: &[
+        flag("--n", "N", Or("50"), "jobs (ignored for laminar)"),
+        flag("--seed", "S", Or("0"), "generator seed"),
+        flag("--out", "file.json", Required, "output file"),
+    ]},
+    Spec { name: "adversary", args: &[],
+        about: &["migration-gap sweep over depths k = 2..=K, checkpointing each depth"], flags: &[
+        flag("--policy", "P", Required, "edf-ff or medium-fit"),
+        flag("--k", "K", Or("4"), "deepest depth (at least 2)"),
+        flag("--machines", "N", Or("16"), "machine budget handed to the policy"),
+        flag("--checkpoint", "f.json", Unset, "save the sweep after every completed depth"),
+        flag("--resume", "", Unset, "skip depths already complete in --checkpoint"),
+        flag("--export-stream", "f.jsonl", Unset, "write the strongest forced trace for `online run`"),
+        TRACE,
+        METRICS,
+    ]},
+    Spec { name: "online", args: &["<run|race>"], about: &[
+        "run: replay a JSONL event stream through one portfolio member (no lookahead);",
+        "race: race the portfolio over seeded agreeable/laminar streams and the adversary",
+        "trace, gated against the paper's agreeable bounds (32.70·m upper, 1.101·m lower)",
+    ], flags: &[
+        flag("--stream", "f.jsonl", Unset, "run: event stream to replay (required for run)"),
+        flag("--member", "M", Or("auto"), "run: loose, laminar, agreeable, cms, imps, auto"),
+        flag("--seed", "S", Or("7"), "race: generator seed"),
+        flag("--n", "N", Or("40"), "race: jobs per generated stream"),
+        flag("--k", "K", Or("4"), "race: adversary depth (at least 2)"),
+        flag("--members", "LIST", Or("all"), "race: comma-separated members, or all"),
+        flag("--out", "f.json", Unset, "race: write the race report"),
+        TRACE,
+        METRICS,
+    ]},
+    Spec { name: "chaos", args: &[], about: &[
+        "deterministic fault-injection run exercising every fault site (probe_cancel,",
+        "force_bigint, machine_failure, machine_slowdown, adversary_abort, worker_panic,",
+        "backend_drop, backend_churn, answer_corruption) without panicking",
+    ], flags: &[
+        flag("--seed", "S", Or("0"), "seed deriving the fault plan and the workload"),
+        flag("--n", "N", Or("16"), "workload size in jobs"),
+        flag("--plan", "f.json", Unset, "load an explicit fault plan instead"),
+        TRACE,
+        METRICS,
+    ]},
+    Spec { name: "serve", args: &[], about: &[
+        "supervised JSONL-over-TCP server: bounded admission, per-request deadlines,",
+        "panic-recycling workers, crash-safe journal replay, drain on a `shutdown` request",
+    ], flags: &[
+        flag("--addr", "A", Or("127.0.0.1:0"), "listen address; port 0 picks a free one"),
+        flag("--workers", "N", Or("2"), "worker threads"),
+        flag("--queue-cap", "N", Or("16"), "admission bound: queued + running + retrying"),
+        flag("--drain-ms", "N", Or("2000"), "drain deadline after a shutdown request"),
+        flag("--seed", "S", Or("0"), "seed for retry jitter and the --chaos plan"),
+        flag("--retry-attempts", "N", Or("3"), "panic retries before a request is quarantined"),
+        flag("--chaos", "", Unset, "inject the seed-derived fault plan (excludes --plan)"),
+        flag("--plan", "f.json", Unset, "inject an explicit fault plan"),
+        flag("--journal", "f.jsonl", Unset, "write-ahead journal, replayed on restart"),
+        flag("--deadline-ms", "N", Unset, "deadline for requests that carry none"),
+        flag("--port-file", "f", Unset, "write the bound address here"),
+        TRACE,
+        METRICS,
+    ]},
+    Spec { name: "load", args: &[], about: &[
+        "deterministic load client: mixed request stream, transcript sorted by id,",
+        "p50/p99/p999 latency report, optional client-side latency histogram",
+    ], flags: &[
+        flag("--addr", "host:port", Required, "server to load"),
+        flag("--n", "N", Or("100"), "requests to send"),
+        flag("--seed", "S", Or("0"), "seed for the request mix"),
+        flag("--paced", "", Unset, "arrival-driven pacing instead of closed-loop"),
+        flag("--window", "W", Or("8"), "max outstanding requests (closed-loop)"),
+        flag("--deadline-ms", "N", Unset, "deadline to attach to every request"),
+        flag("--out", "f", Unset, "write the transcript, sorted by id"),
+        flag("--hist", "f.json", Unset, "write the client-side latency histogram"),
+        flag("--no-shutdown", "", Unset, "leave the server running afterwards"),
+    ]},
+    Spec { name: "cluster", args: &["<solve|sweep|grid|online|stats>", "[inst.json]"], about: &[
+        "scatter–gather over a pool of running servers (solve takes inst.json): hedging,",
+        "retries, quarantine, elastic membership, proof-checked answers, byte-identical",
+        "same-seed transcripts; `stats` merges every backend's registry bucket-exactly;",
+        "`online` races the portfolio on the pool against a single-node reference",
+    ], flags: &[
+        flag("--backends", "a,b,c", Required, "backend addresses"),
+        flag("--balance", "B", Or("round-robin"), "round-robin, least-outstanding or hash"),
+        flag("--seed", "S", Or("0"), "seed for hashing, hedging and the --chaos plan"),
+        flag("--window", "W", Or("8"), "max outstanding units across the pool"),
+        flag("--hedge-every", "N", Unset, "hedge every Nth unit (excludes --hedge-p99)"),
+        flag("--hedge-p99", "PCT", Unset, "hedge a unit slower than PCT% of observed p99"),
+        flag("--hedge-floor-ms", "N", Or("10"), "no p99 hedge for units faster than this"),
+        flag("--chaos", "", Unset, "inject the seed-derived fault plan (excludes --plan)"),
+        flag("--plan", "f.json", Unset, "inject an explicit fault plan"),
+        flag("--deadline-ms", "N", Unset, "deadline to attach to every unit"),
+        flag("--policies", "LIST", Or("edf-ff"), "sweep: comma-separated policies"),
+        flag("--k", "K", Or("4"), "sweep: deepest adversary depth (at least 2)"),
+        flag("--machines", "N", Or("16"), "sweep: machine budget per shard"),
+        flag("--checkpoint", "f.json", Unset, "sweep: save after every completed shard"),
+        flag("--resume", "", Unset, "sweep: resume from --checkpoint"),
+        flag("--families", "LIST", Or("uniform,agreeable,loose"), "grid, online: families"),
+        flag("--seeds", "N", Or("3"), "grid, online: seeds per family"),
+        flag("--n", "N", Or("12"), "grid, online: jobs per instance"),
+        flag("--members", "LIST", Or("all"), "online: comma-separated members, or all"),
+        flag("--churn", "plan.json", Unset, "membership events on the backend_churn schedule"),
+        flag("--spares", "d,e", Unset, "spare addresses for the plan's joins (needs --churn)"),
+        flag("--migration-budget", "N", Or("64"), "max live shard migrations per window"),
+        flag("--verify", "V", Or("off"), "answer verification: off, spot or all"),
+        flag("--out", "transcript.jsonl", Unset, "write the transcript, sorted by id"),
+        TRACE,
+        METRICS,
+    ]},
+    Spec { name: "top", args: &[], about: &[
+        "live terminal view over the pool's stats endpoints: queue depth, in-flight,",
+        "latency quantiles, slowest spans; one-shot unless --interval-s is given",
+    ], flags: &[
+        flag("--backends", "a,b,c", Required, "backend addresses"),
+        flag("--interval-s", "N", Or("0"), "seconds between refreshes (0: one frame)"),
+        flag("--frames", "N", Or("0"), "frames to print when refreshing (0: no limit)"),
+    ]},
+    Spec { name: "bench", args: &[], about: &[
+        "one seeded benchmark suite; writes its BENCH_*.json and, with --check, gates the",
+        "deterministic counters (never wall times); with no suite switch, the solver probe",
+        "baseline (BENCH_2.json); the suite switches exclude each other",
+    ], flags: &[
+        flag("--quick", "", Unset, "run the reduced workload set (CI smoke mode)"),
+        flag("--serve", "", Unset, "the service layer (BENCH_4.json)"),
+        flag("--cluster", "", Unset, "the scatter–gather coordinator (BENCH_5.json)"),
+        flag("--obs", "", Unset, "the observability layer (BENCH_6.json)"),
+        flag("--large", "", Unset, "the million-job certifier hot path (BENCH_7.json)"),
+        flag("--churn", "", Unset, "elastic membership churn (BENCH_8.json)"),
+        flag("--verify", "", Unset, "honest pool vs one Byzantine backend (BENCH_9.json)"),
+        flag("--online", "", Unset, "the portfolio race's competitive ratios (BENCH_10.json)"),
+        flag("--out", "f.json", Unset, "output file (default: the suite's BENCH_*.json)"),
+        flag("--check", "f.json", Unset, "committed baseline to gate against"),
+    ]},
+    Spec { name: "certcheck", args: &[], about: &[
+        "certifier-vs-flow verdict cross-check; same-seed reports are byte-identical,",
+        "mismatches exit 6",
+    ], flags: &[
+        flag("--seed", "S", Or("1"), "base seed of the case batch"),
+        flag("--cases", "N", Or("25"), "seeded cases, cycling through all families"),
+        flag("--pool", "", Unset, "re-verify proof-carrying answers from a live backend pool"),
+        flag("--corrupt", "", Unset, "plant one lying backend (needs --pool)"),
+        flag("--out", "f.txt", Unset, "write the report here instead of stdout"),
+    ]},
+];
+
+impl Spec {
+    /// `usage: machmin <name> <args> [--flag META] ...`, rendered from the
+    /// table.
+    fn usage(&self) -> String {
+        let mut s = format!("usage: machmin {}", self.name);
+        for arg in self.args {
+            let _ = write!(s, " {arg}");
+        }
+        for f in self.flags {
+            let body = format!("{} {}", f.name, f.meta);
+            let body = body.trim_end();
+            let _ = match f.absent {
+                Required => write!(s, " {body}"),
+                _ => write!(s, " [{body}]"),
+            };
+        }
+        s
+    }
+
+    /// A usage error: the problem, then this command's usage line.
+    fn error(&self, problem: impl std::fmt::Display) -> Error {
+        Error::Usage(format!("{problem}\n{}", self.usage()))
+    }
+}
+
+/// A subcommand's arguments with its table applied: positionals in order
+/// and the flags actually given.
+struct Args<'a> {
+    spec: &'static Spec,
+    positionals: Vec<&'a str>,
+    /// `(name, value)` per given flag; switches carry no value.
+    given: Vec<(&'static str, Option<&'a str>)>,
+}
+
+impl<'a> Args<'a> {
+    /// Applies `spec` to `raw` (the tokens after the subcommand name). A
+    /// token starting with `--` is a flag; anything else is positional,
+    /// wherever it appears.
+    fn parse(spec: &'static Spec, raw: &'a [String]) -> Result<Args<'a>, Error> {
+        let mut args = Args {
+            spec,
+            positionals: Vec::new(),
+            given: Vec::new(),
+        };
+        let mut tokens = raw.iter();
+        while let Some(tok) = tokens.next() {
+            if !tok.starts_with("--") {
+                args.positionals.push(tok);
+                continue;
+            }
+            let flag =
+                spec.flags.iter().find(|f| f.name == tok).ok_or_else(|| {
+                    spec.error(format!("unknown flag `{tok}` for `{}`", spec.name))
+                })?;
+            if args.given.iter().any(|(name, _)| *name == flag.name) {
+                return Err(spec.error(format!("{tok} given more than once")));
+            }
+            let value = if flag.meta.is_empty() {
+                None
+            } else {
+                match tokens.next() {
+                    Some(v) if !v.starts_with("--") => Some(v.as_str()),
+                    Some(v) => {
+                        return Err(spec.error(format!("{tok} requires a value, got flag `{v}`")))
+                    }
+                    None => return Err(spec.error(format!("{tok} requires a value"))),
+                }
+            };
+            args.given.push((flag.name, value));
+        }
+        let needed = spec.args.iter().take_while(|a| !a.starts_with('[')).count();
+        if let Some(missing) = spec.args[..needed].get(args.positionals.len()) {
+            return Err(spec.error(format!("missing {missing}")));
+        }
+        if let Some(extra) = args.positionals.get(spec.args.len()) {
+            return Err(spec.error(format!("unexpected argument `{extra}`")));
+        }
+        for f in spec.flags {
+            if matches!(f.absent, Required) && !args.on(f.name) {
+                return Err(spec.error(format!("missing {} {}", f.name, f.meta)));
+            }
+        }
+        Ok(args)
+    }
+
+    fn positional(&self, i: usize) -> Option<String> {
+        self.positionals.get(i).map(|s| s.to_string())
+    }
+
+    /// Whether the flag was given (a switch is on).
+    fn on(&self, name: &str) -> bool {
+        self.given.iter().any(|(n, _)| *n == name)
+    }
+
+    /// The flag's given value, else its table default.
+    fn text(&self, name: &str) -> Option<&'a str> {
+        let flag = self.spec.flags.iter().find(|f| f.name == name);
+        debug_assert!(flag.is_some(), "{name} is not in the table");
+        match self.given.iter().find(|(n, _)| *n == name) {
+            Some((_, v)) => *v,
+            None => match flag?.absent {
+                Or(d) => Some(d),
+                Unset | Required => None,
+            },
+        }
+    }
+
+    /// [`Args::text`] parsed as `T`; an unparsable value is a usage error.
+    fn get<T: std::str::FromStr>(&self, name: &str) -> Result<Option<T>, Error> {
+        self.text(name)
+            .map(|v| {
+                v.parse::<T>()
+                    .map_err(|_| self.spec.error(format!("invalid {name} value: {v}")))
+            })
+            .transpose()
+    }
+
+    /// [`Args::get`] for a flag that always has a value (a default, or
+    /// required).
+    fn val<T: std::str::FromStr>(&self, name: &str) -> Result<T, Error> {
+        self.get(name)?
+            .ok_or_else(|| Error::Internal(format!("{name} has neither a value nor a default")))
+    }
+
+    /// [`Args::val`], which must be at least `min`.
+    fn at_least<T>(&self, name: &str, min: T) -> Result<T, Error>
+    where
+        T: std::str::FromStr + PartialOrd + std::fmt::Display,
+    {
+        let v = self.val::<T>(name)?;
+        if v < min {
+            return Err(Error::Usage(format!("{name} must be at least {min}")));
+        }
+        Ok(v)
+    }
+
+    /// Fails when both flags are given.
+    fn exclusive(&self, a: &str, b: &str) -> Result<(), Error> {
+        if self.on(a) && self.on(b) {
+            return Err(Error::Usage(format!("{a} and {b} are mutually exclusive")));
+        }
+        Ok(())
+    }
+
+    /// Fails when `flag` is given without `needs`.
+    fn requires(&self, flag: &str, needs: &str) -> Result<(), Error> {
+        if self.on(flag) && !self.on(needs) {
+            return Err(Error::Usage(format!("{flag} requires {needs}")));
+        }
+        Ok(())
+    }
+
+    /// A comma-separated address list, blanks dropped.
+    fn list(&self, name: &str) -> Vec<String> {
+        let items = self.text(name).unwrap_or_default().split(',');
+        items
+            .map(str::trim)
+            .filter(|a| !a.is_empty())
+            .map(String::from)
+            .collect()
+    }
+
+    /// The `--backends` list, which must name at least one address.
+    fn backends(&self) -> Result<Vec<String>, Error> {
+        let backends = self.list("--backends");
+        if backends.is_empty() {
+            return Err(Error::Usage(
+                "--backends needs at least one host:port".into(),
+            ));
+        }
+        Ok(backends)
     }
 }
 
 /// Parses raw arguments (without the program name).
 pub fn parse(args: &[String]) -> Result<Command, Error> {
     let cmd = args.first().map(String::as_str).unwrap_or("help");
-    match cmd {
-        "help" | "--help" | "-h" => Ok(Command::Help),
+    if matches!(cmd, "help" | "--help" | "-h") {
+        return Ok(Command::Help);
+    }
+    let spec = SPECS
+        .iter()
+        .find(|s| s.name == cmd)
+        .ok_or_else(|| Error::Usage(format!("unknown command `{cmd}`; run `machmin help`")))?;
+    let a = Args::parse(spec, &args[1..])?;
+    let path = || a.positional(0).unwrap_or_default();
+    Ok(match cmd {
         "solve" => {
             let mut budget: Option<Budget> = None;
-            if let Some(n) = num_flag::<u64>(args, "--budget-augmentations")? {
+            if let Some(n) = a.get::<u64>("--budget-augmentations")? {
                 budget = Some(
                     budget
                         .unwrap_or_else(Budget::unlimited)
                         .with_augmentations(n),
                 );
             }
-            if let Some(ms) = num_flag::<u64>(args, "--budget-ms")? {
+            if let Some(ms) = a.get::<u64>("--budget-ms")? {
                 budget = Some(budget.unwrap_or_else(Budget::unlimited).with_probe_ms(ms));
             }
-            if let Some(n) = num_flag::<usize>(args, "--budget-nodes")? {
+            if let Some(n) = a.get::<usize>("--budget-nodes")? {
                 budget = Some(
                     budget
                         .unwrap_or_else(Budget::unlimited)
                         .with_network_nodes(n),
                 );
             }
-            let attempts = num_flag::<u32>(args, "--attempts")?.unwrap_or(3);
-            if attempts == 0 {
-                return Err(Error::Usage("--attempts must be at least 1".into()));
-            }
-            Ok(Command::Solve {
-                path: args.get(1).cloned().ok_or_else(usage_solve)?,
+            Command::Solve {
+                path: path(),
                 budget,
-                attempts,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                attempts: a.at_least("--attempts", 1)?,
+                trace: a.get("--trace")?,
+                metrics: a.get("--metrics")?,
+            }
         }
-        "classify" => Ok(Command::Classify {
-            path: args.get(1).cloned().ok_or_else(usage_classify)?,
-        }),
-        "demigrate" => Ok(Command::Demigrate {
-            path: args
-                .get(1)
-                .cloned()
-                .ok_or_else(|| Error::Usage("usage: machmin demigrate <instance.json>".into()))?,
-        }),
-        "schedule" => {
-            let path = args.get(1).cloned().ok_or_else(usage_schedule)?;
-            let policy = flag(args, "--policy").ok_or_else(usage_schedule)?;
-            let machines = num_flag::<usize>(args, "--machines")?;
-            Ok(Command::Schedule {
-                path,
-                policy,
-                machines,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
-        }
-        "generate" => {
-            let family = args.get(1).cloned().ok_or_else(usage_generate)?;
-            let n = num_flag::<usize>(args, "--n")?.unwrap_or(50);
-            let seed = num_flag::<u64>(args, "--seed")?.unwrap_or(0);
-            let out = flag(args, "--out").ok_or_else(usage_generate)?;
-            Ok(Command::Generate {
-                family,
-                n,
-                seed,
-                out,
-            })
-        }
+        "classify" => Command::Classify { path: path() },
+        "demigrate" => Command::Demigrate { path: path() },
+        "schedule" => Command::Schedule {
+            path: path(),
+            policy: a.val("--policy")?,
+            machines: a.get("--machines")?,
+            trace: a.get("--trace")?,
+            metrics: a.get("--metrics")?,
+        },
+        "generate" => Command::Generate {
+            family: path(),
+            n: a.val("--n")?,
+            seed: a.val("--seed")?,
+            out: a.val("--out")?,
+        },
         "adversary" => {
-            let policy = flag(args, "--policy").ok_or_else(usage_adversary)?;
-            let k = num_flag::<usize>(args, "--k")?.unwrap_or(4);
-            if k < 2 {
-                return Err(Error::Usage("--k must be at least 2".into()));
-            }
-            let machines = num_flag::<usize>(args, "--machines")?.unwrap_or(16);
-            let checkpoint = value_flag(args, "--checkpoint")?;
-            let resume = args.iter().any(|a| a == "--resume");
-            if resume && checkpoint.is_none() {
-                return Err(Error::Usage("--resume requires --checkpoint".into()));
-            }
-            Ok(Command::Adversary {
-                policy,
+            let k = a.at_least("--k", 2)?;
+            a.requires("--resume", "--checkpoint")?;
+            Command::Adversary {
+                policy: a.val("--policy")?,
                 k,
-                machines,
-                checkpoint,
-                resume,
-                export_stream: value_flag(args, "--export-stream")?,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                machines: a.val("--machines")?,
+                checkpoint: a.get("--checkpoint")?,
+                resume: a.on("--resume"),
+                export_stream: a.get("--export-stream")?,
+                trace: a.get("--trace")?,
+                metrics: a.get("--metrics")?,
+            }
         }
         "online" => {
-            let mode = args.get(1).cloned().ok_or_else(usage_online)?;
+            let mode = path();
             if mode != "run" && mode != "race" {
-                return Err(usage_online());
+                return Err(spec.error(format!("unknown online mode `{mode}` (run|race)")));
             }
-            let stream = value_flag(args, "--stream")?;
+            let stream = a.get("--stream")?;
             if mode == "run" && stream.is_none() {
                 return Err(Error::Usage("online run requires --stream f.jsonl".into()));
             }
-            let k = num_flag::<usize>(args, "--k")?.unwrap_or(4);
-            if k < 2 {
-                return Err(Error::Usage("--k must be at least 2".into()));
-            }
-            Ok(Command::Online {
+            let k = a.at_least("--k", 2)?;
+            Command::Online {
                 mode,
                 stream,
-                member: value_flag(args, "--member")?.unwrap_or_else(|| "auto".into()),
-                seed: num_flag::<u64>(args, "--seed")?.unwrap_or(7),
-                n: num_flag::<usize>(args, "--n")?.unwrap_or(40).max(1),
+                member: a.val("--member")?,
+                seed: a.val("--seed")?,
+                n: a.val::<usize>("--n")?.max(1),
                 k,
-                members: value_flag(args, "--members")?.unwrap_or_else(|| "all".into()),
-                out: value_flag(args, "--out")?,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
+                members: a.val("--members")?,
+                out: a.get("--out")?,
+                trace: a.get("--trace")?,
+                metrics: a.get("--metrics")?,
+            }
         }
-        "chaos" => Ok(Command::Chaos {
-            seed: num_flag::<u64>(args, "--seed")?.unwrap_or(0),
-            n: num_flag::<usize>(args, "--n")?.unwrap_or(16).max(1),
-            plan: value_flag(args, "--plan")?,
-            trace: value_flag(args, "--trace")?,
-            metrics: value_flag(args, "--metrics")?,
-        }),
+        "chaos" => Command::Chaos {
+            seed: a.val("--seed")?,
+            n: a.val::<usize>("--n")?.max(1),
+            plan: a.get("--plan")?,
+            trace: a.get("--trace")?,
+            metrics: a.get("--metrics")?,
+        },
         "bench" => {
-            let serve = args.iter().any(|a| a == "--serve");
-            let cluster = args.iter().any(|a| a == "--cluster");
-            let obs = args.iter().any(|a| a == "--obs");
-            let large = args.iter().any(|a| a == "--large");
-            let churn = args.iter().any(|a| a == "--churn");
-            let verify = args.iter().any(|a| a == "--verify");
-            let online = args.iter().any(|a| a == "--online");
-            if [serve, cluster, obs, large, churn, verify, online]
+            let picked: Vec<BenchSuite> = BenchSuite::FLAGS
                 .iter()
-                .filter(|b| **b)
-                .count()
-                > 1
-            {
+                .filter(|(flag, _)| a.on(flag))
+                .map(|(_, suite)| *suite)
+                .collect();
+            if picked.len() > 1 {
                 return Err(Error::Usage(
                     "--serve, --cluster, --obs, --large, --churn, --verify, and --online \
                      are mutually exclusive"
                         .into(),
                 ));
             }
-            let default_out = if online {
-                "BENCH_10.json"
-            } else if verify {
-                "BENCH_9.json"
-            } else if churn {
-                "BENCH_8.json"
-            } else if large {
-                "BENCH_7.json"
-            } else if obs {
-                "BENCH_6.json"
-            } else if cluster {
-                "BENCH_5.json"
-            } else if serve {
-                "BENCH_4.json"
-            } else {
-                "BENCH_2.json"
-            };
-            Ok(Command::Bench {
-                quick: args.iter().any(|a| a == "--quick"),
-                serve,
-                cluster,
-                obs,
-                large,
-                churn,
-                verify,
-                online,
-                out: value_flag(args, "--out")?.unwrap_or_else(|| default_out.into()),
-                check: value_flag(args, "--check")?,
-            })
+            let suite = picked.first().copied().unwrap_or(BenchSuite::Baseline);
+            Command::Bench {
+                quick: a.on("--quick"),
+                suite,
+                out: a
+                    .get("--out")?
+                    .unwrap_or_else(|| suite.default_out().into()),
+                check: a.get("--check")?,
+            }
         }
         "certcheck" => {
-            let pool = args.iter().any(|a| a == "--pool");
-            let corrupt = args.iter().any(|a| a == "--corrupt");
-            if corrupt && !pool {
-                return Err(Error::Usage("--corrupt requires --pool".into()));
+            a.requires("--corrupt", "--pool")?;
+            Command::CertCheck {
+                seed: a.val("--seed")?,
+                cases: a.val::<usize>("--cases")?.max(1),
+                pool: a.on("--pool"),
+                corrupt: a.on("--corrupt"),
+                out: a.get("--out")?,
             }
-            Ok(Command::CertCheck {
-                seed: num_flag::<u64>(args, "--seed")?.unwrap_or(1),
-                cases: num_flag::<usize>(args, "--cases")?.unwrap_or(25).max(1),
-                pool,
-                corrupt,
-                out: value_flag(args, "--out")?,
-            })
         }
         "serve" => {
-            let chaos = args.iter().any(|a| a == "--chaos");
-            let plan = value_flag(args, "--plan")?;
-            if chaos && plan.is_some() {
-                return Err(Error::Usage(
-                    "--chaos and --plan are mutually exclusive".into(),
-                ));
+            a.exclusive("--chaos", "--plan")?;
+            Command::Serve {
+                addr: a.val("--addr")?,
+                workers: a.val::<usize>("--workers")?.max(1),
+                queue_cap: a.val::<usize>("--queue-cap")?.max(1),
+                drain_ms: a.val("--drain-ms")?,
+                seed: a.val("--seed")?,
+                retry_attempts: a.val::<u32>("--retry-attempts")?.max(1),
+                chaos: a.on("--chaos"),
+                plan: a.get("--plan")?,
+                journal: a.get("--journal")?,
+                deadline_ms: a.get("--deadline-ms")?,
+                port_file: a.get("--port-file")?,
+                trace: a.get("--trace")?,
+                metrics: a.get("--metrics")?,
             }
-            Ok(Command::Serve {
-                addr: value_flag(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:0".into()),
-                workers: num_flag::<usize>(args, "--workers")?.unwrap_or(2).max(1),
-                queue_cap: num_flag::<usize>(args, "--queue-cap")?.unwrap_or(16).max(1),
-                drain_ms: num_flag::<u64>(args, "--drain-ms")?.unwrap_or(2_000),
-                seed: num_flag::<u64>(args, "--seed")?.unwrap_or(0),
-                retry_attempts: num_flag::<u32>(args, "--retry-attempts")?
-                    .unwrap_or(3)
-                    .max(1),
-                chaos,
-                plan,
-                journal: value_flag(args, "--journal")?,
-                deadline_ms: num_flag::<u64>(args, "--deadline-ms")?,
-                port_file: value_flag(args, "--port-file")?,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
         }
         "cluster" => {
-            let workload = args.get(1).cloned().ok_or_else(usage_cluster)?;
+            let workload = path();
             if !matches!(
                 workload.as_str(),
                 "solve" | "sweep" | "grid" | "online" | "stats"
             ) {
-                return Err(usage_cluster());
+                return Err(spec.error(format!("unknown cluster workload `{workload}`")));
             }
-            let path = if workload == "solve" {
-                let p = args
-                    .get(2)
-                    .filter(|p| !p.starts_with("--"))
-                    .cloned()
-                    .ok_or_else(|| {
-                        Error::Usage("cluster solve requires an instance file".into())
-                    })?;
-                Some(p)
-            } else {
-                None
-            };
-            let backends: Vec<String> = value_flag(args, "--backends")?
-                .ok_or_else(usage_cluster)?
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if backends.is_empty() {
-                return Err(Error::Usage(
-                    "--backends needs at least one host:port".into(),
-                ));
+            let path = a.positional(1);
+            if workload == "solve" && path.is_none() {
+                return Err(spec.error("cluster solve requires an instance file"));
             }
-            let hedge_every = num_flag::<u64>(args, "--hedge-every")?;
-            let hedge_p99 = num_flag::<u64>(args, "--hedge-p99")?;
-            if hedge_every.is_some() && hedge_p99.is_some() {
-                return Err(Error::Usage(
-                    "--hedge-every and --hedge-p99 are mutually exclusive".into(),
-                ));
+            if let Some(extra) = path.as_ref().filter(|_| workload != "solve") {
+                return Err(spec.error(format!("unexpected argument `{extra}`")));
             }
+            let backends = a.backends()?;
+            a.exclusive("--hedge-every", "--hedge-p99")?;
+            let hedge_every = a.get::<u64>("--hedge-every")?;
             if hedge_every == Some(0) {
                 return Err(Error::Usage("--hedge-every must be at least 1".into()));
             }
-            let chaos = args.iter().any(|a| a == "--chaos");
-            let plan = value_flag(args, "--plan")?;
-            if chaos && plan.is_some() {
-                return Err(Error::Usage(
-                    "--chaos and --plan are mutually exclusive".into(),
-                ));
-            }
-            let k = num_flag::<usize>(args, "--k")?.unwrap_or(4);
-            if k < 2 {
-                return Err(Error::Usage("--k must be at least 2".into()));
-            }
-            let checkpoint = value_flag(args, "--checkpoint")?;
-            let resume = args.iter().any(|a| a == "--resume");
-            if resume && checkpoint.is_none() {
-                return Err(Error::Usage("--resume requires --checkpoint".into()));
-            }
-            let churn = value_flag(args, "--churn")?;
-            let spares: Vec<String> = value_flag(args, "--spares")?
-                .map(|s| {
-                    s.split(',')
-                        .map(|a| a.trim().to_string())
-                        .filter(|a| !a.is_empty())
-                        .collect()
-                })
-                .unwrap_or_default();
+            a.exclusive("--chaos", "--plan")?;
+            let k = a.at_least("--k", 2)?;
+            a.requires("--resume", "--checkpoint")?;
+            let churn = a.get("--churn")?;
+            let spares = a.list("--spares");
             if !spares.is_empty() && churn.is_none() {
                 return Err(Error::Usage("--spares requires --churn".into()));
             }
-            Ok(Command::Cluster {
+            Command::Cluster {
                 workload,
                 path,
                 backends,
-                balance: value_flag(args, "--balance")?.unwrap_or_else(|| "round-robin".into()),
-                seed: num_flag::<u64>(args, "--seed")?.unwrap_or(0),
-                window: num_flag::<usize>(args, "--window")?.unwrap_or(8).max(1),
+                balance: a.val("--balance")?,
+                seed: a.val("--seed")?,
+                window: a.val::<usize>("--window")?.max(1),
                 hedge_every,
-                hedge_p99,
-                hedge_floor_ms: num_flag::<u64>(args, "--hedge-floor-ms")?.unwrap_or(10),
-                chaos,
-                plan,
-                deadline_ms: num_flag::<u64>(args, "--deadline-ms")?,
-                policies: value_flag(args, "--policies")?.unwrap_or_else(|| "edf-ff".into()),
+                hedge_p99: a.get("--hedge-p99")?,
+                hedge_floor_ms: a.val("--hedge-floor-ms")?,
+                chaos: a.on("--chaos"),
+                plan: a.get("--plan")?,
+                deadline_ms: a.get("--deadline-ms")?,
+                policies: a.val("--policies")?,
                 k,
-                machines: num_flag::<usize>(args, "--machines")?.unwrap_or(16),
-                checkpoint,
-                resume,
-                families: value_flag(args, "--families")?
-                    .unwrap_or_else(|| "uniform,agreeable,loose".into()),
-                seeds: num_flag::<u64>(args, "--seeds")?.unwrap_or(3).max(1),
-                n: num_flag::<usize>(args, "--n")?.unwrap_or(12).max(1),
-                members: value_flag(args, "--members")?.unwrap_or_else(|| "all".into()),
+                machines: a.val("--machines")?,
+                checkpoint: a.get("--checkpoint")?,
+                resume: a.on("--resume"),
+                families: a.val("--families")?,
+                seeds: a.val::<u64>("--seeds")?.max(1),
+                n: a.val::<usize>("--n")?.max(1),
+                members: a.val("--members")?,
                 churn,
                 spares,
-                migration_budget: num_flag::<u64>(args, "--migration-budget")?.unwrap_or(64),
-                verify: value_flag(args, "--verify")?.unwrap_or_else(|| "off".into()),
-                out: value_flag(args, "--out")?,
-                trace: value_flag(args, "--trace")?,
-                metrics: value_flag(args, "--metrics")?,
-            })
-        }
-        "load" => Ok(Command::Load {
-            addr: value_flag(args, "--addr")?.ok_or_else(usage_load)?,
-            n: num_flag::<usize>(args, "--n")?.unwrap_or(100).max(1),
-            seed: num_flag::<u64>(args, "--seed")?.unwrap_or(0),
-            paced: args.iter().any(|a| a == "--paced"),
-            window: num_flag::<usize>(args, "--window")?.unwrap_or(8).max(1),
-            deadline_ms: num_flag::<u64>(args, "--deadline-ms")?,
-            out: value_flag(args, "--out")?,
-            hist: value_flag(args, "--hist")?,
-            shutdown: !args.iter().any(|a| a == "--no-shutdown"),
-        }),
-        "top" => {
-            let backends: Vec<String> = value_flag(args, "--backends")?
-                .ok_or_else(usage_top)?
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if backends.is_empty() {
-                return Err(Error::Usage(
-                    "--backends needs at least one host:port".into(),
-                ));
+                migration_budget: a.val("--migration-budget")?,
+                verify: a.val("--verify")?,
+                out: a.get("--out")?,
+                trace: a.get("--trace")?,
+                metrics: a.get("--metrics")?,
             }
-            Ok(Command::Top {
-                backends,
-                interval_s: num_flag::<u64>(args, "--interval-s")?.unwrap_or(0),
-                frames: num_flag::<u64>(args, "--frames")?.unwrap_or(0),
-            })
         }
-        other => Err(Error::Usage(format!(
-            "unknown command `{other}`; run `machmin help`"
-        ))),
+        "load" => Command::Load {
+            addr: a.val("--addr")?,
+            n: a.val::<usize>("--n")?.max(1),
+            seed: a.val("--seed")?,
+            paced: a.on("--paced"),
+            window: a.val::<usize>("--window")?.max(1),
+            deadline_ms: a.get("--deadline-ms")?,
+            out: a.get("--out")?,
+            hist: a.get("--hist")?,
+            shutdown: !a.on("--no-shutdown"),
+        },
+        "top" => Command::Top {
+            backends: a.backends()?,
+            interval_s: a.val("--interval-s")?,
+            frames: a.val("--frames")?,
+        },
+        other => {
+            return Err(Error::Internal(format!(
+                "`{other}` has a table but no parser"
+            )))
+        }
+    })
+}
+
+/// Help text, rendered from the flag tables.
+pub fn help_text() -> String {
+    let mut s = String::from(
+        "machmin — online machine minimization (SPAA'16 reproduction)\n\
+         \n\
+         usage: machmin <command> [args] [flags]; args and flags may come in any order.\n\
+         An unknown, repeated or value-less flag, or a missing or extra argument, is a\n\
+         usage error (exit 2).\n\
+         \n\
+         commands:\n",
+    );
+    for spec in SPECS {
+        let _ = write!(s, "\n  {}", spec.name);
+        for arg in spec.args {
+            let _ = write!(s, " {arg}");
+        }
+        s.push('\n');
+        for line in spec.about {
+            let _ = writeln!(s, "      {line}");
+        }
+        for f in spec.flags {
+            let flag = format!("{} {}", f.name, f.meta);
+            let note = match f.absent {
+                Unset => String::new(),
+                Or(d) => format!(" [default: {d}]"),
+                Required => " [required]".into(),
+            };
+            let _ = writeln!(s, "      {flag:<26}{}{note}", f.help);
+        }
     }
-}
-
-fn usage_solve() -> Error {
-    Error::Usage(
-        "usage: machmin solve <instance.json> [--trace f.jsonl] [--metrics f.json] \
-         [--budget-augmentations N] [--budget-ms N] [--budget-nodes N] [--attempts K]"
-            .into(),
-    )
-}
-
-fn usage_classify() -> Error {
-    Error::Usage("usage: machmin classify <instance.json>".into())
-}
-
-fn usage_schedule() -> Error {
-    Error::Usage(
-        "usage: machmin schedule <instance.json> --policy <edf|llf|edf-ff|medium-fit|agreeable|laminar> [--machines N] [--trace f.jsonl] [--metrics f.json]"
-            .into(),
-    )
-}
-
-fn usage_generate() -> Error {
-    Error::Usage(
-        "usage: machmin generate <uniform|agreeable|laminar|loose> [--n N] [--seed S] --out <file.json>"
-            .into(),
-    )
-}
-
-fn usage_adversary() -> Error {
-    Error::Usage(
-        "usage: machmin adversary --policy <edf-ff|medium-fit> [--k K] [--machines N] \
-         [--checkpoint f.json [--resume]] [--export-stream f.jsonl] [--trace f.jsonl] \
-         [--metrics f.json]"
-            .into(),
-    )
-}
-
-fn usage_online() -> Error {
-    Error::Usage(
-        "usage: machmin online run --stream f.jsonl [--member M]  |  machmin online race \
-         [--seed S] [--n N] [--k K] [--members LIST] [--out f.json] \
-         (M/LIST from loose|laminar|agreeable|cms|imps, plus auto/all)"
-            .into(),
-    )
-}
-
-fn usage_cluster() -> Error {
-    Error::Usage(
-        "usage: machmin cluster <solve <inst.json>|sweep|grid|online|stats> --backends <a,b,c> \
-         [--balance round-robin|least-outstanding|hash] [--seed S] [--window W] \
-         [--hedge-every N | --hedge-p99 PCT] [--hedge-floor-ms N] [--chaos | --plan f.json] \
-         [--churn plan.json [--spares d,e]] [--migration-budget N] \
-         [--verify off|spot|all] \
-         [--deadline-ms N] [--policies p1,p2] [--k K] [--machines N] \
-         [--checkpoint f.json [--resume]] [--families f1,f2] [--seeds S] [--n N] \
-         [--members LIST] [--out transcript.jsonl] [--trace f.jsonl] [--metrics f.json]"
-            .into(),
-    )
-}
-
-fn usage_load() -> Error {
-    Error::Usage(
-        "usage: machmin load --addr <host:port> [--n N] [--seed S] [--paced] [--window W] \
-         [--deadline-ms N] [--out transcript.jsonl] [--hist hist.json] [--no-shutdown]"
-            .into(),
-    )
-}
-
-fn usage_top() -> Error {
-    Error::Usage("usage: machmin top --backends <a,b,c> [--interval-s N] [--frames N]".into())
-}
-
-/// Help text.
-pub fn help_text() -> &'static str {
-    "machmin — online machine minimization (SPAA'16 reproduction)\n\
-     \n\
-     commands:\n\
-       solve <inst.json>                        exact migratory optimum + Theorem 1 certificate\n\
-       classify <inst.json>                     structure (agreeable/laminar), Δ, looseness\n\
-       schedule <inst.json> --policy P [--machines N]\n\
-                                                run an online policy and verify its schedule\n\
-                                                P ∈ {edf, llf, edf-ff, medium-fit, agreeable, laminar}\n\
-       demigrate <inst.json>                    offline migratory → non-migratory transformation\n\
-       generate <family> [--n N] [--seed S] --out <file.json>\n\
-                                                family ∈ {uniform, agreeable, laminar, loose}\n\
-       adversary --policy P [--k K] [--machines N] [--checkpoint f.json [--resume]]\n\
-                 [--export-stream f.jsonl]       migration-gap sweep over depths k = 2..=K,\n\
-                                                checkpointing each completed depth (P ∈ {edf-ff, medium-fit});\n\
-                                                --export-stream writes the strongest forced-release trace\n\
-                                                as a replayable event stream for `online run`\n\
-       online run --stream f.jsonl [--member M]  replay a JSONL event stream through one portfolio\n\
-                                                member (strictly no lookahead) and report machines\n\
-                                                opened vs the offline Theorem-1 optimum;\n\
-                                                M ∈ {loose, laminar, agreeable, cms, imps, auto}\n\
-       online race [--seed S] [--n N] [--k K] [--members LIST] [--out f.json]\n\
-                                                race the portfolio over seeded agreeable/laminar\n\
-                                                streams and the adversary's forced-release trace;\n\
-                                                per-member measured competitive ratios, gated\n\
-                                                against the paper's bounds (32.70·m agreeable\n\
-                                                upper bound, 1.101·m lower bound)\n\
-       chaos [--seed S] [--n N] [--plan f.json] deterministic fault-injection run exercising every\n\
-                                                fault site (probe_cancel, force_bigint, machine_failure,\n\
-                                                machine_slowdown, adversary_abort, worker_panic,\n\
-                                                backend_drop, backend_churn) without panicking;\n\
-                                                --plan loads an explicit plan\n\
-       serve [--addr A] [--workers N] [--queue-cap N] [--drain-ms N] [--seed S] [--retry-attempts N]\n\
-             [--chaos | --plan f.json] [--journal f.jsonl] [--deadline-ms N] [--port-file f]\n\
-                                                supervised JSONL-over-TCP request server: bounded\n\
-                                                admission with shedding, per-request deadlines,\n\
-                                                panic-recycling workers, crash-safe journal replay,\n\
-                                                graceful drain (a `shutdown` request ends it)\n\
-       load --addr <host:port> [--n N] [--seed S] [--paced] [--window W] [--out f]\n\
-            [--hist hist.json] [--no-shutdown]\n\
-                                                deterministic load client: mixed request stream,\n\
-                                                transcript sorted by id, p50/p99/p999 latency\n\
-                                                report, optional client-side latency histogram\n\
-       cluster <solve <inst.json>|sweep|grid|online|stats> --backends <a,b,c> [--balance B] [--seed S]\n\
-               [--window W] [--hedge-every N | --hedge-p99 PCT] [--chaos | --plan f.json]\n\
-               [--churn plan.json [--spares d,e]] [--migration-budget N]\n\
-               [--verify off|spot|all]\n\
-               [--policies p1,p2] [--k K] [--families f1,f2] [--seeds S] [--n N]\n\
-               [--members LIST] [--checkpoint f.json [--resume]] [--out transcript.jsonl]\n\
-                                                scatter–gather over a pool of running servers:\n\
-                                                B ∈ {round-robin, least-outstanding, hash};\n\
-                                                hedged requests, bounded retries, recoverable\n\
-                                                quarantine, byte-identical same-seed transcripts;\n\
-                                                --churn runs a seeded membership schedule (joins,\n\
-                                                graceful drains with live shard migration, flaps);\n\
-                                                `stats` scrapes every backend's registry, prints\n\
-                                                the bucket-exact pool-wide merge plus per-backend\n\
-                                                overload index, migration, and verified/refuted\n\
-                                                counters; --verify asks for proof-carrying answers\n\
-                                                and refutes/quarantines/re-asks on a caught lie;\n\
-                                                `online` races the portfolio on the pool (member ×\n\
-                                                family × seed) and checks the merged per-member\n\
-                                                ratios against a single-node reference\n\
-       top --backends <a,b,c> [--interval-s N] [--frames N]\n\
-                                                live terminal view over the pool's stats endpoints:\n\
-                                                queue depth, in-flight, latency quantiles, slowest\n\
-                                                spans; one-shot unless --interval-s is given\n\
-       bench [--quick] [--serve | --cluster | --obs | --large | --churn | --verify | --online] [--out f.json] [--check f.json]\n\
-                                                seeded perf baseline: fast path + prober reuse vs\n\
-                                                BigInt + fresh-network reference (default out\n\
-                                                BENCH_2.json); --check gates deterministic counters;\n\
-                                                --serve benchmarks the service layer (BENCH_4.json);\n\
-                                                --cluster benchmarks the coordinator (BENCH_5.json);\n\
-                                                --obs gates the observability layer (BENCH_6.json);\n\
-                                                --large benchmarks the million-job certifier hot\n\
-                                                path (BENCH_7.json); --churn benchmarks elastic\n\
-                                                membership churn (BENCH_8.json); --verify gates\n\
-                                                proof-carrying verification — honest pool vs one\n\
-                                                Byzantine backend (BENCH_9.json); --online gates\n\
-                                                the portfolio race's measured competitive ratios\n\
-                                                (BENCH_10.json)\n\
-       certcheck [--seed S] [--cases N] [--pool [--corrupt]] [--out f.txt]\n\
-                                                certifier-vs-flow verdict cross-check; same-seed\n\
-                                                reports are byte-identical, mismatches exit 6;\n\
-                                                --pool re-verifies proof-carrying answers from a\n\
-                                                live backend pool (--corrupt plants one liar)\n\
-       help                                     this text\n\
-     \n\
-     observability (solve, schedule, adversary, online, chaos, serve, cluster):\n\
-       --trace <file.jsonl>                     stream typed events (one JSON object per line)\n\
-       --metrics <file.json>                    write aggregated counters and histograms\n\
-     \n\
-     robustness (solve):\n\
-       --budget-augmentations N                 cancel a feasibility probe after N augmenting paths\n\
-       --budget-ms N                            cancel a feasibility probe after N wall-clock ms\n\
-       --budget-nodes N                         refuse flow networks larger than N nodes\n\
-       --attempts K                             double the budget up to K times, then settle for\n\
-                                                a certified bracket [lo, hi] (still exit code 0)\n\
-     \n\
-     exit codes: 0 success (incl. degraded bracket), 1 internal, 2 usage,\n\
-                 3 io/parse, 4 validation, 5 simulation, 6 verification, 70 panic\n"
+    s.push_str(
+        "\n  help\n      \
+         this text\n\
+         \n\
+         exit codes: 0 success (incl. degraded bracket), 1 internal, 2 usage,\n\
+         \x20           3 io/parse, 4 validation, 5 simulation, 6 verification, 70 panic\n",
+    );
+    s
 }
 
 fn load(path: &str) -> Result<Instance, Error> {
@@ -934,6 +1028,133 @@ fn load_fault_plan(path: &str) -> Result<FaultPlan, Error> {
         )));
     }
     FaultPlan::from_json(&text).map_err(|e| Error::Io(format!("invalid fault plan {path}: {e}")))
+}
+
+/// Reads and parses a committed bench baseline for `--check`.
+fn read_baseline(path: &str) -> Result<mm_json::Json, Error> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| Error::Io(format!("cannot read baseline {path}: {e}")))?;
+    mm_json::parse(&text).map_err(|e| Error::Io(format!("cannot parse baseline {path}: {e}")))
+}
+
+/// A "must not grow" `--check` gate: `check_against` (the suite module's)
+/// lists every counter of `doc` above the committed baseline's.
+fn growth_gate(
+    doc: &mm_json::Json,
+    check: Option<&str>,
+    what: &str,
+    check_against: fn(&mm_json::Json, &mm_json::Json) -> Result<(), Vec<String>>,
+    out: &mut String,
+) -> Result<(), Error> {
+    let Some(check_path) = check else {
+        return Ok(());
+    };
+    if let Err(problems) = check_against(doc, &read_baseline(check_path)?) {
+        return Err(Error::Verification(format!(
+            "{what} counter regression vs {check_path}:\n  {}",
+            problems.join("\n  ")
+        )));
+    }
+    let _ = writeln!(out, "counters within committed baseline {check_path}");
+    Ok(())
+}
+
+/// A suite's exact `--check` gate: each integer key and each subtree (in
+/// compact form) must equal the committed baseline's, a key missing on
+/// either side included.
+struct ExactGate {
+    /// Failure header, `"<what> regression vs <path>"`.
+    what: &'static str,
+    ints: &'static [&'static str],
+    trees: &'static [&'static str],
+    /// Problem line for a changed subtree, `"<key> <changed>"`.
+    changed: &'static str,
+    /// Success line, `"<matched> match committed baseline <path>"`.
+    matched: &'static str,
+}
+
+impl ExactGate {
+    fn problems(&self, doc: &mm_json::Json, committed: &mm_json::Json) -> Vec<String> {
+        use mm_json::Json;
+        let mut problems = Vec::new();
+        for key in self.ints {
+            let cur = doc.get(key).and_then(Json::as_i64);
+            let base = committed.get(key).and_then(Json::as_i64);
+            if cur != base {
+                problems.push(format!("{key}: {cur:?} vs committed {base:?}"));
+            }
+        }
+        for key in self.trees {
+            let compact = |j: &Json| j.get(key).map(Json::to_compact);
+            if compact(doc) != compact(committed) {
+                problems.push(format!("{key} {}", self.changed));
+            }
+        }
+        problems
+    }
+
+    /// Gates `doc` against the baseline at `check`, if one was given.
+    fn check(
+        &self,
+        doc: &mm_json::Json,
+        check: Option<&str>,
+        out: &mut String,
+    ) -> Result<(), Error> {
+        let Some(check_path) = check else {
+            return Ok(());
+        };
+        let problems = self.problems(doc, &read_baseline(check_path)?);
+        if !problems.is_empty() {
+            return Err(Error::Verification(format!(
+                "{} regression vs {check_path}:\n  {}",
+                self.what,
+                problems.join("\n  ")
+            )));
+        }
+        let _ = writeln!(
+            out,
+            "{} match committed baseline {check_path}",
+            self.matched
+        );
+        Ok(())
+    }
+}
+
+/// The default `bench` scenario (`BENCH_2.json`): the seeded probe
+/// workloads, fast path + prober reuse vs the BigInt + fresh-network
+/// reference. `--check` fails if a counter grows past the committed one.
+fn baseline_bench(
+    quick: bool,
+    path: &str,
+    check: Option<&str>,
+    out: &mut String,
+) -> Result<(), Error> {
+    let doc = mm_bench::baseline::run(quick);
+    if let Some(workloads) = doc.get("workloads").and_then(mm_json::Json::as_arr) {
+        for w in workloads {
+            let name = w.get("name").and_then(mm_json::Json::as_str).unwrap_or("?");
+            let speedup = w
+                .get("speedup")
+                .and_then(mm_json::Json::as_f64)
+                .unwrap_or(0.0);
+            let m = w
+                .get("optimal_machines")
+                .and_then(mm_json::Json::as_i64)
+                .unwrap_or(-1);
+            let _ = writeln!(out, "{name}: m = {m}, speedup {speedup:.2}x");
+        }
+    }
+    if let Some(total) = doc
+        .get("totals")
+        .and_then(|t| t.get("speedup"))
+        .and_then(mm_json::Json::as_f64)
+    {
+        let _ = writeln!(out, "total probe-workload speedup: {total:.2}x");
+    }
+    std::fs::write(path, doc.to_pretty())
+        .map_err(|e| Error::Io(format!("cannot write {path}: {e}")))?;
+    let _ = writeln!(out, "baseline -> {path}");
+    growth_gate(&doc, check, "bench", mm_bench::baseline::check_against, out)
 }
 
 /// The `bench --large` scenario (`BENCH_7.json`): the certifier hot path
@@ -973,24 +1194,13 @@ fn large_bench(
     std::fs::write(path, doc.to_pretty())
         .map_err(|e| Error::Io(format!("cannot write {path}: {e}")))?;
     let _ = writeln!(out, "large baseline -> {path}");
-    if let Some(check_path) = check {
-        let committed = std::fs::read_to_string(check_path)
-            .map_err(|e| Error::Io(format!("cannot read baseline {check_path}: {e}")))?;
-        let committed = mm_json::parse(&committed)
-            .map_err(|e| Error::Io(format!("cannot parse baseline {check_path}: {e}")))?;
-        match mm_bench::large::check_against(&doc, &committed) {
-            Ok(()) => {
-                let _ = writeln!(out, "counters within committed baseline {check_path}");
-            }
-            Err(problems) => {
-                return Err(Error::Verification(format!(
-                    "large bench counter regression vs {check_path}:\n  {}",
-                    problems.join("\n  ")
-                )));
-            }
-        }
-    }
-    Ok(())
+    growth_gate(
+        &doc,
+        check,
+        "large bench",
+        mm_bench::large::check_against,
+        out,
+    )
 }
 
 /// The `bench --serve` scenario: an in-process server on loopback TCP, a
@@ -1006,23 +1216,10 @@ fn serve_bench(
 ) -> Result<(), Error> {
     use mm_json::Json;
     let n = if quick { 60 } else { 240 };
-    let cfg = ServeConfig {
-        workers: 2,
-        queue_cap: 16,
-        ..ServeConfig::default()
-    };
-    let service = Arc::new(
-        Service::start(cfg, DynSink::new(Box::new(NoopSink)))
-            .map_err(|e| Error::Sim(format!("cannot start bench server: {e}")))?,
-    );
-    let (listener, addr) = mm_serve::tcp::bind("127.0.0.1:0")
-        .map_err(|e| Error::Io(format!("cannot bind bench server: {e}")))?;
-    let acceptor = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || mm_serve::tcp::serve(listener, service))
-    };
+    let pool = spawn_bench_pool(1, 16)?;
+    let service = Arc::clone(&pool[0].service);
     let report = mm_serve::run_load(
-        &addr,
+        &pool[0].addr,
         &LoadConfig {
             n,
             seed: 17,
@@ -1032,11 +1229,7 @@ fn serve_bench(
         },
     )
     .map_err(|e| Error::Io(format!("bench load failed: {e}")))?;
-    acceptor
-        .join()
-        .map_err(|_| Error::Internal("bench accept loop panicked".into()))?
-        .map_err(|e| Error::Io(format!("bench accept loop failed: {e}")))?;
-    service.wait_stopped();
+    teardown_bench_pool(pool)?;
     let stats = service.stats();
     if report.lost > 0 || !stats.invariant_holds() {
         return Err(Error::Verification(format!(
@@ -1071,37 +1264,19 @@ fn serve_bench(
         report.sent, report.p50_ms, report.p99_ms
     );
     let _ = writeln!(out, "baseline -> {path}");
-    if let Some(check_path) = check {
-        let committed = std::fs::read_to_string(check_path)
-            .map_err(|e| Error::Io(format!("cannot read baseline {check_path}: {e}")))?;
-        let committed = mm_json::parse(&committed)
-            .map_err(|e| Error::Io(format!("cannot parse baseline {check_path}: {e}")))?;
-        let mut problems = Vec::new();
-        for key in ["requests", "lost", "admitted", "responses", "shed"] {
-            let cur = doc.get(key).and_then(Json::as_i64);
-            let base = committed.get(key).and_then(Json::as_i64);
-            if cur != base {
-                problems.push(format!("{key}: {cur:?} vs committed {base:?}"));
-            }
-        }
-        let compact = |j: &Json| j.get("by_status").map(Json::to_compact);
-        if compact(&doc) != compact(&committed) {
-            problems.push("by_status distribution changed".into());
-        }
-        if !problems.is_empty() {
-            return Err(Error::Verification(format!(
-                "serve bench counter regression vs {check_path}:\n  {}",
-                problems.join("\n  ")
-            )));
-        }
-        let _ = writeln!(out, "counters match committed baseline {check_path}");
+    ExactGate {
+        what: "serve bench counter",
+        ints: &["requests", "lost", "admitted", "responses", "shed"],
+        trees: &["by_status"],
+        changed: "distribution changed",
+        matched: "counters",
     }
-    Ok(())
+    .check(&doc, check, out)
 }
 
 /// One in-process `machmin serve` backend: a real [`Service`] behind a
-/// loopback TCP acceptor, used by `bench --cluster` and the chaos cluster
-/// segment so no external processes are needed.
+/// loopback TCP acceptor, used by the serve, obs and pool benches and the
+/// chaos cluster segments so no external processes are needed.
 struct BenchBackend {
     service: Arc<Service>,
     addr: String,
@@ -1283,34 +1458,14 @@ fn cluster_bench(
         scatter.counters.shard_resumes
     );
     let _ = writeln!(out, "baseline -> {path}");
-    if let Some(check_path) = check {
-        let committed = std::fs::read_to_string(check_path)
-            .map_err(|e| Error::Io(format!("cannot read baseline {check_path}: {e}")))?;
-        let committed = mm_json::parse(&committed)
-            .map_err(|e| Error::Io(format!("cannot parse baseline {check_path}: {e}")))?;
-        let mut problems = Vec::new();
-        for key in ["units", "backends"] {
-            let cur = doc.get(key).and_then(Json::as_i64);
-            let base = committed.get(key).and_then(Json::as_i64);
-            if cur != base {
-                problems.push(format!("{key}: {cur:?} vs committed {base:?}"));
-            }
-        }
-        for key in ["scatter", "scatter_fired", "sweep", "sweep_merged"] {
-            let compact = |j: &Json| j.get(key).map(Json::to_compact);
-            if compact(&doc) != compact(&committed) {
-                problems.push(format!("{key} counters changed"));
-            }
-        }
-        if !problems.is_empty() {
-            return Err(Error::Verification(format!(
-                "cluster bench counter regression vs {check_path}:\n  {}",
-                problems.join("\n  ")
-            )));
-        }
-        let _ = writeln!(out, "counters match committed baseline {check_path}");
+    ExactGate {
+        what: "cluster bench counter",
+        ints: &["units", "backends"],
+        trees: &["scatter", "scatter_fired", "sweep", "sweep_merged"],
+        changed: "counters changed",
+        matched: "counters",
     }
-    Ok(())
+    .check(&doc, check, out)
 }
 
 /// The `bench --verify` scenario (`BENCH_9.json`): proof-carrying answers
@@ -1427,13 +1582,9 @@ fn verify_bench(
             "byzantine merged responses diverged from the honest run".into(),
         ));
     }
-    if let Some(check_path) = check {
-        let committed = std::fs::read_to_string(check_path)
-            .map_err(|e| Error::Io(format!("cannot read baseline {check_path}: {e}")))?;
-        let committed = mm_json::parse(&committed)
-            .map_err(|e| Error::Io(format!("cannot parse baseline {check_path}: {e}")))?;
-        let mut problems = Vec::new();
-        for key in [
+    ExactGate {
+        what: "verify bench counter",
+        ints: &[
             "units",
             "backends",
             "honest_verified",
@@ -1444,27 +1595,12 @@ fn verify_bench(
             "byz_reasks",
             "byz_corrupted",
             "byz_liar_refuted",
-        ] {
-            let cur = doc.get(key).and_then(Json::as_i64);
-            let base = committed.get(key).and_then(Json::as_i64);
-            if cur != base {
-                problems.push(format!("{key}: {cur:?} vs committed {base:?}"));
-            }
-        }
-        if doc.get("merged_identical").map(Json::to_compact)
-            != committed.get("merged_identical").map(Json::to_compact)
-        {
-            problems.push("merged_identical changed".into());
-        }
-        if !problems.is_empty() {
-            return Err(Error::Verification(format!(
-                "verify bench counter regression vs {check_path}:\n  {}",
-                problems.join("\n  ")
-            )));
-        }
-        let _ = writeln!(out, "counters match committed baseline {check_path}");
+        ],
+        trees: &["merged_identical"],
+        changed: "changed",
+        matched: "counters",
     }
-    Ok(())
+    .check(&doc, check, out)
 }
 
 /// `certcheck --pool`: the seeded cross-check batch shipped to a live
@@ -1648,13 +1784,9 @@ fn churn_bench(
         units_n, c.churn_events, c.joins, c.drains, c.flaps, c.migrations
     );
     let _ = writeln!(out, "baseline -> {path}");
-    if let Some(check_path) = check {
-        let committed = std::fs::read_to_string(check_path)
-            .map_err(|e| Error::Io(format!("cannot read baseline {check_path}: {e}")))?;
-        let committed = mm_json::parse(&committed)
-            .map_err(|e| Error::Io(format!("cannot parse baseline {check_path}: {e}")))?;
-        let mut problems = Vec::new();
-        for key in [
+    ExactGate {
+        what: "churn bench counter",
+        ints: &[
             "units",
             "backends",
             "responses",
@@ -1662,28 +1794,12 @@ fn churn_bench(
             "joins",
             "drains",
             "flaps",
-        ] {
-            let cur = doc.get(key).and_then(Json::as_i64);
-            let base = committed.get(key).and_then(Json::as_i64);
-            if cur != base {
-                problems.push(format!("{key}: {cur:?} vs committed {base:?}"));
-            }
-        }
-        {
-            let compact = |j: &Json| j.get("churn_fired").map(Json::to_compact);
-            if compact(&doc) != compact(&committed) {
-                problems.push("churn_fired counters changed".into());
-            }
-        }
-        if !problems.is_empty() {
-            return Err(Error::Verification(format!(
-                "churn bench counter regression vs {check_path}:\n  {}",
-                problems.join("\n  ")
-            )));
-        }
-        let _ = writeln!(out, "counters match committed baseline {check_path}");
+        ],
+        trees: &["churn_fired"],
+        changed: "counters changed",
+        matched: "counters",
     }
-    Ok(())
+    .check(&doc, check, out)
 }
 
 /// The `bench --obs` scenario (`BENCH_6.json`): gates proving the
@@ -1736,23 +1852,8 @@ fn obs_bench(quick: bool, path: &str, check: Option<&str>, out: &mut String) -> 
         ("adversary_rounds", Json::Int(m.adversary_rounds as i64)),
     ]);
 
-    let service = Arc::new(
-        Service::start(
-            ServeConfig {
-                workers: 2,
-                queue_cap: 16,
-                ..ServeConfig::default()
-            },
-            DynSink::new(Box::new(NoopSink)),
-        )
-        .map_err(|e| Error::Sim(format!("cannot start obs bench server: {e}")))?,
-    );
-    let (listener, addr) = mm_serve::tcp::bind("127.0.0.1:0")
-        .map_err(|e| Error::Io(format!("cannot bind obs bench server: {e}")))?;
-    let acceptor = {
-        let service = Arc::clone(&service);
-        std::thread::spawn(move || mm_serve::tcp::serve(listener, service))
-    };
+    let pool = spawn_bench_pool(1, 16)?;
+    let (service, addr) = (Arc::clone(&pool[0].service), pool[0].addr.clone());
     let report = mm_serve::run_load(
         &addr,
         &LoadConfig {
@@ -1790,12 +1891,7 @@ fn obs_bench(quick: bool, path: &str, check: Option<&str>, out: &mut String) -> 
         std::thread::sleep(std::time::Duration::from_millis(20));
     };
     let scrape_ms = t0.elapsed().as_secs_f64() * 1e3;
-    service.shutdown();
-    service.wait_stopped();
-    acceptor
-        .join()
-        .map_err(|_| Error::Internal("obs bench accept loop panicked".into()))?
-        .map_err(|e| Error::Io(format!("obs bench accept loop failed: {e}")))?;
+    teardown_bench_pool(pool)?;
     let stats = service.stats();
     if hist_total != responses {
         return Err(Error::Verification(format!(
@@ -1845,34 +1941,14 @@ fn obs_bench(quick: bool, path: &str, check: Option<&str>, out: &mut String) -> 
         report.sent, m.span_phases
     );
     let _ = writeln!(out, "baseline -> {path}");
-    if let Some(check_path) = check {
-        let committed = std::fs::read_to_string(check_path)
-            .map_err(|e| Error::Io(format!("cannot read baseline {check_path}: {e}")))?;
-        let committed = mm_json::parse(&committed)
-            .map_err(|e| Error::Io(format!("cannot parse baseline {check_path}: {e}")))?;
-        let mut problems = Vec::new();
-        for key in ["requests", "admitted", "responses", "shed", "hist_total"] {
-            let cur = doc.get(key).and_then(Json::as_i64);
-            let base = committed.get(key).and_then(Json::as_i64);
-            if cur != base {
-                problems.push(format!("{key}: {cur:?} vs committed {base:?}"));
-            }
-        }
-        for key in ["traced_identical", "trace", "by_kind", "by_status"] {
-            let compact = |j: &Json| j.get(key).map(Json::to_compact);
-            if compact(&doc) != compact(&committed) {
-                problems.push(format!("{key} changed"));
-            }
-        }
-        if !problems.is_empty() {
-            return Err(Error::Verification(format!(
-                "obs bench counter regression vs {check_path}:\n  {}",
-                problems.join("\n  ")
-            )));
-        }
-        let _ = writeln!(out, "counters match committed baseline {check_path}");
+    ExactGate {
+        what: "obs bench counter",
+        ints: &["requests", "admitted", "responses", "shed", "hist_total"],
+        trees: &["traced_identical", "trace", "by_kind", "by_status"],
+        changed: "changed",
+        matched: "counters",
     }
-    Ok(())
+    .check(&doc, check, out)
 }
 
 /// The `bench --online` scenario (`BENCH_10.json`): races the full online
@@ -1957,38 +2033,18 @@ fn online_bench(
         m.online_worst_ratio_millis % 1000
     );
     let _ = writeln!(out, "baseline -> {path}");
-    if let Some(check_path) = check {
-        let committed = std::fs::read_to_string(check_path)
-            .map_err(|e| Error::Io(format!("cannot read baseline {check_path}: {e}")))?;
-        let committed = mm_json::parse(&committed)
-            .map_err(|e| Error::Io(format!("cannot parse baseline {check_path}: {e}")))?;
-        let mut problems = Vec::new();
-        for key in [
+    ExactGate {
+        what: "online bench ratio",
+        ints: &[
             "online_runs",
             "online_machines_opened",
             "online_worst_ratio_millis",
-        ] {
-            let cur = doc.get(key).and_then(Json::as_i64);
-            let base = committed.get(key).and_then(Json::as_i64);
-            if cur != base {
-                problems.push(format!("{key}: {cur:?} vs committed {base:?}"));
-            }
-        }
-        for key in ["race", "rerun_identical"] {
-            let compact = |j: &Json| j.get(key).map(Json::to_compact);
-            if compact(&doc) != compact(&committed) {
-                problems.push(format!("{key} changed"));
-            }
-        }
-        if !problems.is_empty() {
-            return Err(Error::Verification(format!(
-                "online bench ratio regression vs {check_path}:\n  {}",
-                problems.join("\n  ")
-            )));
-        }
-        let _ = writeln!(out, "ratios match committed baseline {check_path}");
+        ],
+        trees: &["race", "rerun_identical"],
+        changed: "changed",
+        matched: "ratios",
     }
-    Ok(())
+    .check(&doc, check, out)
 }
 
 /// Merges every `latency_us.*` histogram of a snapshot into one, for
@@ -2221,7 +2277,7 @@ impl CliSinks {
 pub fn execute(cmd: Command) -> Result<String, Error> {
     let mut out = String::new();
     match cmd {
-        Command::Help => out.push_str(help_text()),
+        Command::Help => out.push_str(&help_text()),
         Command::Solve {
             path,
             budget,
@@ -3075,86 +3131,21 @@ pub fn execute(cmd: Command) -> Result<String, Error> {
         }
         Command::Bench {
             quick,
-            serve,
-            cluster,
-            obs,
-            large,
-            churn,
-            verify,
-            online,
+            suite,
             out: path,
             check,
         } => {
-            if online {
-                online_bench(quick, &path, check.as_deref(), &mut out)?;
-                return Ok(out);
-            }
-            if verify {
-                verify_bench(quick, &path, check.as_deref(), &mut out)?;
-                return Ok(out);
-            }
-            if churn {
-                churn_bench(quick, &path, check.as_deref(), &mut out)?;
-                return Ok(out);
-            }
-            if large {
-                large_bench(quick, &path, check.as_deref(), &mut out)?;
-                return Ok(out);
-            }
-            if obs {
-                obs_bench(quick, &path, check.as_deref(), &mut out)?;
-                return Ok(out);
-            }
-            if cluster {
-                cluster_bench(quick, &path, check.as_deref(), &mut out)?;
-                return Ok(out);
-            }
-            if serve {
-                serve_bench(quick, &path, check.as_deref(), &mut out)?;
-                return Ok(out);
-            }
-            let doc = mm_bench::baseline::run(quick);
-            if let Some(workloads) = doc.get("workloads").and_then(mm_json::Json::as_arr) {
-                for w in workloads {
-                    let name = w.get("name").and_then(mm_json::Json::as_str).unwrap_or("?");
-                    let speedup = w
-                        .get("speedup")
-                        .and_then(mm_json::Json::as_f64)
-                        .unwrap_or(0.0);
-                    let m = w
-                        .get("optimal_machines")
-                        .and_then(mm_json::Json::as_i64)
-                        .unwrap_or(-1);
-                    let _ = writeln!(out, "{name}: m = {m}, speedup {speedup:.2}x");
-                }
-            }
-            if let Some(total) = doc
-                .get("totals")
-                .and_then(|t| t.get("speedup"))
-                .and_then(mm_json::Json::as_f64)
-            {
-                let _ = writeln!(out, "total probe-workload speedup: {total:.2}x");
-            }
-            std::fs::write(&path, doc.to_pretty())
-                .map_err(|e| Error::Io(format!("cannot write {path}: {e}")))?;
-            let _ = writeln!(out, "baseline -> {path}");
-            if let Some(check_path) = check {
-                let committed = std::fs::read_to_string(&check_path)
-                    .map_err(|e| Error::Io(format!("cannot read baseline {check_path}: {e}")))?;
-                let committed = mm_json::parse(&committed)
-                    .map_err(|e| Error::Io(format!("cannot parse baseline {check_path}: {e}")))?;
-                match mm_bench::baseline::check_against(&doc, &committed) {
-                    Ok(()) => {
-                        let _ = writeln!(out, "counters within committed baseline {check_path}");
-                    }
-                    Err(problems) => {
-                        return Err(Error::Verification(format!(
-                            "bench counter regression vs {check_path}:\n  {}",
-                            problems.join("\n  ")
-                        )));
-                    }
-                }
-            }
+            let run = match suite {
+                BenchSuite::Baseline => baseline_bench,
+                BenchSuite::Serve => serve_bench,
+                BenchSuite::Cluster => cluster_bench,
+                BenchSuite::Obs => obs_bench,
+                BenchSuite::Large => large_bench,
+                BenchSuite::Churn => churn_bench,
+                BenchSuite::Verify => verify_bench,
+                BenchSuite::Online => online_bench,
+            };
+            run(quick, &path, check.as_deref(), &mut out)?;
         }
         Command::CertCheck {
             seed,
@@ -3782,13 +3773,7 @@ mod tests {
             parse(&argv("bench")).unwrap(),
             Command::Bench {
                 quick: false,
-                serve: false,
-                cluster: false,
-                obs: false,
-                large: false,
-                churn: false,
-                verify: false,
-                online: false,
+                suite: BenchSuite::Baseline,
                 out: "BENCH_2.json".into(),
                 check: None
             }
@@ -3797,13 +3782,7 @@ mod tests {
             parse(&argv("bench --quick --out b.json --check BENCH_2.json")).unwrap(),
             Command::Bench {
                 quick: true,
-                serve: false,
-                cluster: false,
-                obs: false,
-                large: false,
-                churn: false,
-                verify: false,
-                online: false,
+                suite: BenchSuite::Baseline,
                 out: "b.json".into(),
                 check: Some("BENCH_2.json".into())
             }
@@ -3812,13 +3791,7 @@ mod tests {
             parse(&argv("bench --quick --serve")).unwrap(),
             Command::Bench {
                 quick: true,
-                serve: true,
-                cluster: false,
-                obs: false,
-                large: false,
-                churn: false,
-                verify: false,
-                online: false,
+                suite: BenchSuite::Serve,
                 out: "BENCH_4.json".into(),
                 check: None
             }
@@ -3827,13 +3800,7 @@ mod tests {
             parse(&argv("bench --quick --obs")).unwrap(),
             Command::Bench {
                 quick: true,
-                serve: false,
-                cluster: false,
-                obs: true,
-                large: false,
-                churn: false,
-                verify: false,
-                online: false,
+                suite: BenchSuite::Obs,
                 out: "BENCH_6.json".into(),
                 check: None
             }
@@ -3842,13 +3809,7 @@ mod tests {
             parse(&argv("bench --quick --churn")).unwrap(),
             Command::Bench {
                 quick: true,
-                serve: false,
-                cluster: false,
-                obs: false,
-                large: false,
-                churn: true,
-                verify: false,
-                online: false,
+                suite: BenchSuite::Churn,
                 out: "BENCH_8.json".into(),
                 check: None
             }
@@ -3857,13 +3818,7 @@ mod tests {
             parse(&argv("bench --verify")).unwrap(),
             Command::Bench {
                 quick: false,
-                serve: false,
-                cluster: false,
-                obs: false,
-                large: false,
-                churn: false,
-                verify: true,
-                online: false,
+                suite: BenchSuite::Verify,
                 out: "BENCH_9.json".into(),
                 check: None
             }
@@ -4555,13 +4510,7 @@ mod tests {
         let path = dir.join("bench.json").to_string_lossy().to_string();
         let msg = execute(Command::Bench {
             quick: true,
-            serve: false,
-            cluster: false,
-            obs: false,
-            large: false,
-            churn: false,
-            verify: false,
-            online: false,
+            suite: BenchSuite::Baseline,
             out: path.clone(),
             check: None,
         })
@@ -4570,13 +4519,7 @@ mod tests {
         // A run is a valid baseline for itself: counters are deterministic.
         let msg = execute(Command::Bench {
             quick: true,
-            serve: false,
-            cluster: false,
-            obs: false,
-            large: false,
-            churn: false,
-            verify: false,
-            online: false,
+            suite: BenchSuite::Baseline,
             out: path.clone(),
             check: Some(path.clone()),
         })
@@ -4592,13 +4535,7 @@ mod tests {
         let path = dir.join("bench4.json").to_string_lossy().to_string();
         let msg = execute(Command::Bench {
             quick: true,
-            serve: true,
-            cluster: false,
-            obs: false,
-            large: false,
-            churn: false,
-            verify: false,
-            online: false,
+            suite: BenchSuite::Serve,
             out: path.clone(),
             check: None,
         })
@@ -4614,13 +4551,7 @@ mod tests {
         // Deterministic counters gate against themselves.
         let msg = execute(Command::Bench {
             quick: true,
-            serve: true,
-            cluster: false,
-            obs: false,
-            large: false,
-            churn: false,
-            verify: false,
-            online: false,
+            suite: BenchSuite::Serve,
             out: path.clone(),
             check: Some(path.clone()),
         })
@@ -4906,13 +4837,7 @@ mod tests {
             parse(&argv("bench --quick --cluster")).unwrap(),
             Command::Bench {
                 quick: true,
-                serve: false,
-                cluster: true,
-                obs: false,
-                large: false,
-                churn: false,
-                verify: false,
-                online: false,
+                suite: BenchSuite::Cluster,
                 out: "BENCH_5.json".into(),
                 check: None
             }
@@ -4926,13 +4851,7 @@ mod tests {
         let path = dir.join("BENCH_6.json").to_string_lossy().to_string();
         let msg = execute(Command::Bench {
             quick: true,
-            serve: false,
-            cluster: false,
-            obs: true,
-            large: false,
-            churn: false,
-            verify: false,
-            online: false,
+            suite: BenchSuite::Obs,
             out: path.clone(),
             check: None,
         })
@@ -4956,13 +4875,7 @@ mod tests {
         // deterministic functions of the seed.
         let msg = execute(Command::Bench {
             quick: true,
-            serve: false,
-            cluster: false,
-            obs: true,
-            large: false,
-            churn: false,
-            verify: false,
-            online: false,
+            suite: BenchSuite::Obs,
             out: path.clone(),
             check: Some(path.clone()),
         })
@@ -5110,13 +5023,7 @@ mod tests {
         let path = dir.join("bench5.json").to_string_lossy().to_string();
         let msg = execute(Command::Bench {
             quick: true,
-            serve: false,
-            cluster: true,
-            obs: false,
-            large: false,
-            churn: false,
-            verify: false,
-            online: false,
+            suite: BenchSuite::Cluster,
             out: path.clone(),
             check: None,
         })
@@ -5141,19 +5048,528 @@ mod tests {
         // Deterministic counters gate against themselves.
         let msg = execute(Command::Bench {
             quick: true,
-            serve: false,
-            cluster: true,
-            obs: false,
-            large: false,
-            churn: false,
-            verify: false,
-            online: false,
+            suite: BenchSuite::Cluster,
             out: path.clone(),
             check: Some(path.clone()),
         })
         .unwrap();
         assert!(msg.contains("counters match committed baseline"), "{msg}");
         std::fs::remove_file(&path).ok();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Modification time of a repo file, to prove a rejected command line
+    /// wrote nothing.
+    fn mtime(path: &str) -> Option<std::time::SystemTime> {
+        std::fs::metadata(path).and_then(|m| m.modified()).ok()
+    }
+
+    #[test]
+    fn bad_command_lines_are_usage_errors_that_touch_nothing() {
+        let bench_before = mtime("BENCH_2.json");
+        for (line, token) in [
+            ("schedule a.json --policy edf-ff --machnies 3", "--machnies"),
+            ("online race --sede 5", "--sede"),
+            ("solve --bogus-flag x", "--bogus-flag"),
+            ("solve a.json --trace --metrics m.json", "--metrics"),
+            ("bench --help", "--help"),
+            ("solve a.json --trace t.jsonl --trace u.jsonl", "--trace"),
+            ("schedule a.json --policy edf --policy llf", "--policy"),
+            ("solve a.json b.json", "b.json"),
+            ("classify a.json b.json", "b.json"),
+            ("cluster grid extra --backends a:1", "extra"),
+            ("generate --out x.json", "<uniform|agreeable|laminar|loose>"),
+        ] {
+            let err = parse(&argv(line)).unwrap_err();
+            assert_eq!(err.tag(), "usage", "`{line}`: {err}");
+            assert_eq!(err.exit_code(), 2, "`{line}`");
+            let msg = err.to_string();
+            assert!(msg.contains(token), "`{line}` must name `{token}`: {msg}");
+            let cmd = line.split_whitespace().next().unwrap();
+            assert!(
+                msg.contains(&format!("usage: machmin {cmd}")),
+                "`{line}` must print the usage line: {msg}"
+            );
+        }
+        assert!(!std::path::Path::new("--metrics").exists());
+        assert_eq!(mtime("BENCH_2.json"), bench_before);
+    }
+
+    #[test]
+    fn positionals_may_follow_flags() {
+        assert_eq!(
+            parse(&argv("schedule --policy edf a.json")).unwrap(),
+            parse(&argv("schedule a.json --policy edf")).unwrap()
+        );
+        assert_eq!(
+            parse(&argv("cluster --backends a:1 solve inst.json")).unwrap(),
+            parse(&argv("cluster solve inst.json --backends a:1")).unwrap()
+        );
+        assert_eq!(
+            parse(&argv("online --seed 3 race")).unwrap(),
+            parse(&argv("online race --seed 3")).unwrap()
+        );
+    }
+
+    /// Splits a rendered usage line into `(flag, takes_value)` pairs.
+    fn usage_flags(usage: &str) -> Vec<(String, bool)> {
+        let raw: Vec<&str> = usage.split_whitespace().collect();
+        let mut flags = Vec::new();
+        for (i, tok) in raw.iter().enumerate() {
+            let name = tok.trim_start_matches('[').trim_end_matches(']');
+            if name.starts_with("--") {
+                let takes_value = !tok.ends_with(']')
+                    && raw
+                        .get(i + 1)
+                        .is_some_and(|next| !next.trim_start_matches('[').starts_with("--"));
+                flags.push((name.to_string(), takes_value));
+            }
+        }
+        flags
+    }
+
+    #[test]
+    fn every_flag_in_a_usage_line_parses_and_is_used() {
+        let sample = |flag: &str| -> String {
+            let meta = SPECS
+                .iter()
+                .flat_map(|s| s.flags)
+                .find(|f| f.name == flag)
+                .map_or("", |f| f.meta);
+            match meta {
+                "N" | "K" | "S" | "W" | "PCT" => "5".into(),
+                "a,b,c" | "host:port" | "d,e" => "a:1".into(),
+                _ => "x".into(),
+            }
+        };
+        let prereq = |flag: &str| -> Vec<String> {
+            match flag {
+                "--resume" => argv("--checkpoint c.json"),
+                "--corrupt" => argv("--pool"),
+                "--spares" => argv("--churn p.json"),
+                _ => Vec::new(),
+            }
+        };
+        let mut checked = 0;
+        for spec in SPECS {
+            let mut base = vec![spec.name.to_string()];
+            for arg in spec.args.iter().filter(|a| !a.starts_with('[')) {
+                base.push(match *arg {
+                    "<run|race>" => "race".into(),
+                    "<solve|sweep|grid|online|stats>" => "grid".into(),
+                    _ => "x".into(),
+                });
+            }
+            let flags = usage_flags(&spec.usage());
+            assert_eq!(flags.len(), spec.flags.len(), "{}", spec.usage());
+            for (flag, takes_value) in &flags {
+                let mut without = base.clone();
+                for f in spec.flags.iter().filter(|f| matches!(f.absent, Required)) {
+                    if f.name != flag {
+                        without.push(f.name.into());
+                        without.push(sample(f.name));
+                    }
+                }
+                without.extend(prereq(flag));
+                let mut with = without.clone();
+                with.push(flag.clone());
+                if *takes_value {
+                    with.push(sample(flag));
+                }
+                let parsed =
+                    parse(&with).unwrap_or_else(|e| panic!("`{}` must parse: {e}", with.join(" ")));
+                if let Ok(plain) = parse(&without) {
+                    assert_ne!(parsed, plain, "`{}` has no effect", with.join(" "));
+                }
+                checked += 1;
+            }
+        }
+        assert!(checked > 80, "only {checked} flags checked");
+    }
+
+    #[test]
+    fn every_accepted_flag_is_in_the_help_text() {
+        let help = help_text();
+        for spec in SPECS {
+            assert!(
+                help.contains(&format!("\n  {}", spec.name)),
+                "{}",
+                spec.name
+            );
+            for f in spec.flags {
+                assert!(
+                    help.contains(format!("      {} {}", f.name, f.meta).trim_end()),
+                    "help is missing `{} {}`",
+                    spec.name,
+                    f.name
+                );
+                assert!(spec.usage().contains(f.name), "{}", spec.usage());
+            }
+        }
+    }
+
+    #[test]
+    fn readme_cli_reference_is_the_help_text() {
+        let readme = include_str!("../README.md");
+        assert!(
+            readme.contains(&help_text()),
+            "README's CLI reference is stale: paste `machmin help` output into it"
+        );
+    }
+
+    #[test]
+    fn perfbench_command_shapes_parse_exactly() {
+        assert_eq!(
+            parse(&argv("solve /tmp/p.json")).unwrap(),
+            Command::Solve {
+                path: "/tmp/p.json".into(),
+                budget: None,
+                attempts: 3,
+                trace: None,
+                metrics: None,
+            }
+        );
+        assert_eq!(
+            parse(&argv("schedule /tmp/p.json --policy medium-fit")).unwrap(),
+            Command::Schedule {
+                path: "/tmp/p.json".into(),
+                policy: "medium-fit".into(),
+                machines: None,
+                trace: None,
+                metrics: None,
+            }
+        );
+        assert_eq!(
+            parse(&argv("online run --stream /tmp/s.jsonl --member cms")).unwrap(),
+            Command::Online {
+                mode: "run".into(),
+                stream: Some("/tmp/s.jsonl".into()),
+                member: "cms".into(),
+                seed: 7,
+                n: 40,
+                k: 4,
+                members: "all".into(),
+                out: None,
+                trace: None,
+                metrics: None,
+            }
+        );
+    }
+
+    /// `machmin cluster <workload> --backends <backends>` with every other
+    /// field at its documented default.
+    fn cluster_defaults(workload: &str, backends: &[&str]) -> Command {
+        Command::Cluster {
+            workload: workload.into(),
+            path: None,
+            backends: backends.iter().map(|b| b.to_string()).collect(),
+            balance: "round-robin".into(),
+            seed: 0,
+            window: 8,
+            hedge_every: None,
+            hedge_p99: None,
+            hedge_floor_ms: 10,
+            chaos: false,
+            plan: None,
+            deadline_ms: None,
+            policies: "edf-ff".into(),
+            k: 4,
+            machines: 16,
+            checkpoint: None,
+            resume: false,
+            families: "uniform,agreeable,loose".into(),
+            seeds: 3,
+            n: 12,
+            members: "all".into(),
+            churn: None,
+            spares: vec![],
+            migration_budget: 64,
+            verify: "off".into(),
+            out: None,
+            trace: None,
+            metrics: None,
+        }
+    }
+
+    /// The command lines of `scripts/serve_soak.sh` and
+    /// `scripts/cluster_soak.sh`, shell variables substituted.
+    #[test]
+    fn soak_script_command_lines_parse_exactly() {
+        let serve = |chaos: bool, seed: u64, retry: u32, journal: Option<&str>, port: &str| {
+            Command::Serve {
+                addr: "127.0.0.1:0".into(),
+                workers: 2,
+                queue_cap: 16,
+                drain_ms: 2_000,
+                seed,
+                retry_attempts: retry,
+                chaos,
+                plan: None,
+                journal: journal.map(String::from),
+                deadline_ms: None,
+                port_file: Some(port.into()),
+                trace: None,
+                metrics: None,
+            }
+        };
+        assert_eq!(
+            parse(&argv(
+                "serve --addr 127.0.0.1:0 --workers 2 --queue-cap 16 --seed 7 --chaos \
+                 --retry-attempts 1000 --journal w/journal-a.jsonl --port-file w/port-a.txt"
+            ))
+            .unwrap(),
+            serve(true, 7, 1000, Some("w/journal-a.jsonl"), "w/port-a.txt")
+        );
+        assert_eq!(
+            parse(&argv(
+                "serve --addr 127.0.0.1:0 --workers 2 --queue-cap 16 --seed 7 --chaos \
+                 --retry-attempts 1000 --port-file w/port-stats.txt"
+            ))
+            .unwrap(),
+            serve(true, 7, 1000, None, "w/port-stats.txt")
+        );
+        assert_eq!(
+            parse(&argv(
+                "serve --addr 127.0.0.1:0 --journal w/journal-a.jsonl --port-file w/port-replay.txt"
+            ))
+            .unwrap(),
+            serve(false, 0, 3, Some("w/journal-a.jsonl"), "w/port-replay.txt")
+        );
+        let mut pool_backend = serve(false, 0, 3, None, "w/port-byz-3.txt");
+        if let Command::Serve {
+            workers,
+            queue_cap,
+            plan,
+            ..
+        } = &mut pool_backend
+        {
+            *workers = 3;
+            *queue_cap = 64;
+            *plan = Some("w/liar.json".into());
+        }
+        assert_eq!(
+            parse(&argv(
+                "serve --addr 127.0.0.1:0 --workers 3 --queue-cap 64 \
+                 --port-file w/port-byz-3.txt --plan w/liar.json"
+            ))
+            .unwrap(),
+            pool_backend
+        );
+
+        let load = |n: usize, seed: u64, out: Option<&str>, shutdown: bool| Command::Load {
+            addr: "127.0.0.1:4000".into(),
+            n,
+            seed,
+            paced: false,
+            window: 8,
+            deadline_ms: None,
+            out: out.map(String::from),
+            hist: None,
+            shutdown,
+        };
+        assert_eq!(
+            parse(&argv(
+                "load --addr 127.0.0.1:4000 --n 500 --seed 7 --window 8 --out w/transcript-a.jsonl"
+            ))
+            .unwrap(),
+            load(500, 7, Some("w/transcript-a.jsonl"), true)
+        );
+        assert_eq!(
+            parse(&argv(
+                "load --addr 127.0.0.1:4000 --n 500 --seed 7 --window 8 --no-shutdown"
+            ))
+            .unwrap(),
+            load(500, 7, None, false)
+        );
+        assert_eq!(
+            parse(&argv("load --addr 127.0.0.1:4000 --n 1 --seed 0")).unwrap(),
+            load(1, 0, None, true)
+        );
+
+        let pool = ["a:1", "b:2", "c:3"];
+        let mut stats = cluster_defaults("stats", &pool);
+        if let Command::Cluster { out, .. } = &mut stats {
+            *out = Some("w/stats.json".into());
+        }
+        assert_eq!(
+            parse(&argv(
+                "cluster stats --backends a:1,b:2,c:3 --out w/stats.json"
+            ))
+            .unwrap(),
+            stats
+        );
+        let grid = |pool: &[&str], out: &str| {
+            let mut c = cluster_defaults("grid", pool);
+            if let Command::Cluster {
+                seed,
+                seeds,
+                n,
+                out: o,
+                ..
+            } = &mut c
+            {
+                *seed = 7;
+                *seeds = 100;
+                *n = 10;
+                *o = Some(out.into());
+            }
+            c
+        };
+        let mut faulted = grid(&pool, "w/t-a.jsonl");
+        if let Command::Cluster {
+            balance,
+            window,
+            hedge_every,
+            plan,
+            ..
+        } = &mut faulted
+        {
+            *balance = "hash".into();
+            *window = 32;
+            *hedge_every = Some(5);
+            *plan = Some("w/plan.json".into());
+        }
+        assert_eq!(
+            parse(&argv(
+                "cluster grid --backends a:1,b:2,c:3 --balance hash --seed 7 --window 32 \
+                 --hedge-every 5 --plan w/plan.json --families uniform,agreeable,loose \
+                 --seeds 100 --n 10 --out w/t-a.jsonl"
+            ))
+            .unwrap(),
+            faulted
+        );
+        assert_eq!(
+            parse(&argv(
+                "cluster grid --backends a:1 --seed 7 --families uniform,agreeable,loose \
+                 --seeds 100 --n 10 --out w/t-single.jsonl"
+            ))
+            .unwrap(),
+            grid(&["a:1"], "w/t-single.jsonl")
+        );
+        let mut churned = grid(&pool, "w/t-churn.jsonl");
+        if let Command::Cluster {
+            balance,
+            window,
+            plan,
+            churn,
+            spares,
+            ..
+        } = &mut churned
+        {
+            *balance = "hash".into();
+            *window = 32;
+            *plan = Some("w/churn-plan.json".into());
+            *churn = Some("w/churn-events.json".into());
+            *spares = vec!["d:4".into()];
+        }
+        assert_eq!(
+            parse(&argv(
+                "cluster grid --backends a:1,b:2,c:3 --balance hash --seed 7 --window 32 \
+                 --plan w/churn-plan.json --churn w/churn-events.json --spares d:4 \
+                 --families uniform,agreeable,loose --seeds 100 --n 10 --out w/t-churn.jsonl"
+            ))
+            .unwrap(),
+            churned
+        );
+        let mut verified = grid(&["a:1"], "w/t-byz-single.jsonl");
+        if let Command::Cluster { verify, .. } = &mut verified {
+            *verify = "all".into();
+        }
+        assert_eq!(
+            parse(&argv(
+                "cluster grid --backends a:1 --seed 7 --verify all \
+                 --families uniform,agreeable,loose --seeds 100 --n 10 \
+                 --out w/t-byz-single.jsonl"
+            ))
+            .unwrap(),
+            verified
+        );
+        let mut online = cluster_defaults("online", &pool);
+        if let Command::Cluster {
+            balance,
+            seed,
+            window,
+            families,
+            seeds,
+            n,
+            out,
+            ..
+        } = &mut online
+        {
+            *balance = "hash".into();
+            *seed = 7;
+            *window = 32;
+            *families = "uniform,agreeable".into();
+            *seeds = 4;
+            *n = 10;
+            *out = Some("w/t-online.jsonl".into());
+        }
+        assert_eq!(
+            parse(&argv(
+                "cluster online --backends a:1,b:2,c:3 --balance hash --seed 7 --window 32 \
+                 --members all --families uniform,agreeable --seeds 4 --n 10 \
+                 --out w/t-online.jsonl"
+            ))
+            .unwrap(),
+            online
+        );
+    }
+
+    #[test]
+    fn exact_gate_reports_every_difference() {
+        use mm_json::Json;
+        let gate = ExactGate {
+            what: "test bench counter",
+            ints: &["a", "b", "c"],
+            trees: &["t", "u"],
+            changed: "changed",
+            matched: "counters",
+        };
+        let doc = Json::obj([
+            ("a", Json::Int(1)),
+            ("b", Json::Int(2)),
+            ("t", Json::obj([("x", Json::Int(1))])),
+            ("u", Json::Bool(true)),
+        ]);
+        assert!(gate.problems(&doc, &doc).is_empty());
+        let committed = Json::obj([
+            ("a", Json::Int(9)),
+            ("c", Json::Int(3)),
+            ("t", Json::obj([("x", Json::Int(2))])),
+        ]);
+        assert_eq!(
+            gate.problems(&doc, &committed),
+            [
+                "a: Some(1) vs committed Some(9)",
+                "b: Some(2) vs committed None",
+                "c: None vs committed Some(3)",
+                "t changed",
+                "u changed",
+            ]
+        );
+
+        let dir = std::env::temp_dir().join("machmin_exact_gate");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("committed.json").to_string_lossy().to_string();
+        let mut out = String::new();
+        gate.check(&doc, None, &mut out).unwrap();
+        assert!(out.is_empty());
+        std::fs::write(&path, doc.to_pretty()).unwrap();
+        gate.check(&doc, Some(&path), &mut out).unwrap();
+        assert_eq!(out, format!("counters match committed baseline {path}\n"));
+        std::fs::write(&path, committed.to_pretty()).unwrap();
+        let err = gate.check(&doc, Some(&path), &mut out).unwrap_err();
+        assert_eq!(err.tag(), "verification");
+        assert!(
+            err.to_string()
+                .starts_with(&format!("test bench counter regression vs {path}:\n  a: ")),
+            "{err}"
+        );
+        std::fs::write(&path, "{").unwrap();
+        assert_eq!(
+            gate.check(&doc, Some(&path), &mut out).unwrap_err().tag(),
+            "io"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 }
