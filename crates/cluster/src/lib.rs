@@ -4,19 +4,20 @@
 //! The coordinator owns a static pool of JSONL-over-TCP backends (no
 //! discovery — addresses come from `--backends host:port,...`), keeps
 //! per-backend health state with jittered probe pings, and fans work units
-//! out under a pluggable [`BalancePolicy`]. Three workloads build on the
+//! out under a pluggable [`BalancePolicy`]. Four workloads build on the
 //! same engine:
 //!
-//! * [`solve`] — ascending-`m` feasibility probes for one instance; the
-//!   gather step returns the first certified optimum, or the tightest
-//!   merged `[lo, hi]` bracket when some probes come back degraded.
-//! * [`sweep`] — an adversary sweep sharded as `(policy, depth)` pairs,
-//!   with per-shard checkpoints so a torn run resumes where it stopped.
-//! * [`grid`] — a remote experiment grid (generator family × seed) whose
-//!   results merge into one summary with per-backend counters.
-//! * [`online`] — the online-scheduler portfolio race (member × family ×
-//!   seed) served on the pool, merged into per-member competitive-ratio
-//!   statistics with a single-node parity reference.
+//! * [`cluster_solve`] — ascending-`m` feasibility probes for one
+//!   instance; the gather step returns the first certified optimum, or the
+//!   tightest merged `[lo, hi]` bracket when some probes come back degraded.
+//! * [`cluster_sweep`] — an adversary sweep sharded as `(policy, depth)`
+//!   pairs, with per-shard checkpoints so a torn run resumes where it
+//!   stopped.
+//! * [`cluster_grid`] — a remote experiment grid (generator family × seed)
+//!   whose results merge into one summary with per-backend counters.
+//! * [`cluster_online`] — the online-scheduler portfolio race (member ×
+//!   family × seed) served on the pool, merged into per-member
+//!   competitive-ratio statistics with a single-node parity reference.
 //!
 //! **Determinism contract.** Backend responses carry no timestamps, so a
 //! response line is a pure function of the request payload. Hedged copies

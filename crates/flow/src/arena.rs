@@ -1,26 +1,26 @@
 //! Structure-of-arrays flow arena: Dinic on flat parallel arrays.
 //!
-//! [`super::FlowNetwork`] stores one `Vec<Edge>` per node — fine at a few
-//! hundred nodes, but at 10^5–10^6 jobs the per-node vectors scatter the
-//! residual graph across the heap and every DFS step chases pointers. This
-//! module keeps the same algorithm and observable behaviour on a CSR-style
-//! arena:
+//! Per-node edge vectors scatter the residual graph across the heap, and at
+//! 10^5–10^6 jobs every DFS step would chase pointers. The arena keeps the
+//! whole network in a few CSR-style arrays instead:
 //!
-//! * edges live in four flat parallel arrays (`next`/`to`/`cap`, plus
-//!   per-node `head`/`tail` cursors) — one allocation each, grown once;
+//! * edges live in flat parallel arrays (`next`/`to`/`cap`, plus per-node
+//!   `head`/`tail` cursors) — one allocation each, grown once;
 //! * an edge and its reverse are adjacent (`e ^ 1`), so the residual update
 //!   needs no `rev` pointer array;
 //! * per-node adjacency is an intrusive list appended in insertion order, so
 //!   traversal order — and therefore the sequence of augmenting paths and
-//!   every deterministic counter — matches the `Vec<Vec<Edge>>` network;
+//!   every deterministic counter — is fixed by the order edges are added;
 //! * the blocking-flow DFS is iterative (an explicit edge stack), so a
 //!   million-node path cannot overflow the call stack;
 //! * [`ArenaNetwork::clear`] rewinds the arena to an empty network *without
 //!   freeing anything*, so a prober can rebuild for a new instance
 //!   allocation-free.
 //!
-//! The old network stays as the reference oracle; the property tests check
-//! the two agree on max-flow values over random graphs.
+//! Flow values are checked against an independent Edmonds–Karp reference
+//! on random graphs (`tests/prop_flow.rs`); path order, augmentation counts
+//! and the budget-meter protocol are frozen by a committed golden table
+//! (`tests/golden_paths.rs`).
 
 use mm_fault::{BudgetExceeded, BudgetMeter};
 
@@ -28,9 +28,8 @@ use crate::{EdgeHandle, FlowNum};
 
 const NONE: u32 = u32::MAX;
 
-/// A directed flow network on a flat edge arena. Same observable API as
-/// [`crate::FlowNetwork`] (same `EdgeHandle` currency, same counter and
-/// budget semantics), tuned for networks with 10^5+ nodes.
+/// A directed flow network with exact capacities on a flat edge arena,
+/// tuned for networks with 10^5+ nodes.
 #[derive(Debug, Clone)]
 pub struct ArenaNetwork<N: FlowNum> {
     /// First edge out of each node (`NONE` when isolated).
@@ -57,19 +56,13 @@ pub struct ArenaNetwork<N: FlowNum> {
 impl<N: FlowNum> ArenaNetwork<N> {
     /// Creates an arena with `n` nodes and no edges.
     pub fn new(n: usize) -> Self {
-        Self::with_capacity(n, 0)
-    }
-
-    /// Creates an arena with `n` nodes and room for `edges` forward edges,
-    /// so the build loop never reallocates.
-    pub fn with_capacity(n: usize, edges: usize) -> Self {
         ArenaNetwork {
             head: vec![NONE; n],
             tail: vec![NONE; n],
-            next: Vec::with_capacity(2 * edges),
-            to: Vec::with_capacity(2 * edges),
-            cap: Vec::with_capacity(2 * edges),
-            original_caps: Vec::with_capacity(edges),
+            next: Vec::new(),
+            to: Vec::new(),
+            cap: Vec::new(),
+            original_caps: Vec::new(),
             augmentations: 0,
             level: Vec::new(),
             iter: Vec::new(),
@@ -86,13 +79,6 @@ impl<N: FlowNum> ArenaNetwork<N> {
     /// Whether the network has no nodes.
     pub fn is_empty(&self) -> bool {
         self.head.is_empty()
-    }
-
-    /// Adds a node, returning its index.
-    pub fn add_node(&mut self) -> usize {
-        self.head.push(NONE);
-        self.tail.push(NONE);
-        self.head.len() - 1
     }
 
     /// Rewinds to an empty network with `n` nodes, keeping every allocation
@@ -165,9 +151,9 @@ impl<N: FlowNum> ArenaNetwork<N> {
         }
     }
 
-    /// Replaces an edge's capacity, clearing any flow on it. As with
-    /// [`crate::FlowNetwork::set_capacity`], conservation at the endpoints
-    /// is not restored — callers reset or re-solve from a consistent state.
+    /// Replaces an edge's capacity, clearing any flow on it. Conservation
+    /// at the endpoints is *not* restored — callers [`Self::reset`] first
+    /// or otherwise re-solve from a consistent state.
     pub fn set_capacity(&mut self, handle: EdgeHandle, cap: N) {
         self.cap[2 * handle.0] = cap.clone();
         self.cap[2 * handle.0 + 1] = N::zero();
@@ -184,19 +170,6 @@ impl<N: FlowNum> ArenaNetwork<N> {
         self.original_caps[handle.0] = cap;
     }
 
-    /// Sum of residual capacities of forward edges out of `node`.
-    pub fn out_capacity(&self, node: usize) -> N {
-        let mut t = N::zero();
-        let mut e = self.head[node];
-        while e != NONE {
-            if e.is_multiple_of(2) {
-                t = t.add(&self.cap[e as usize]);
-            }
-            e = self.next[e as usize];
-        }
-        t
-    }
-
     /// Computes the maximum `source → sink` flow (Dinic, iterative blocking
     /// flow). Calling again continues from the current residual state.
     pub fn max_flow(&mut self, source: usize, sink: usize) -> N {
@@ -206,11 +179,13 @@ impl<N: FlowNum> ArenaNetwork<N> {
         }
     }
 
-    /// [`Self::max_flow`] with cooperative cancellation; the meter protocol
-    /// matches [`crate::FlowNetwork::max_flow_budgeted`] exactly — one
-    /// phase tick per BFS, one augmentation tick per path *attempt* (so a
-    /// phase that finds `k` paths ticks `k + 1` times) — and cancellation
-    /// leaves a valid partial flow that a later call resumes.
+    /// [`Self::max_flow`] with cooperative cancellation. The meter is ticked
+    /// once per BFS phase and once per augmenting-path *attempt* (so a phase
+    /// that finds `k` paths ticks `k + 1` times, and a tripped meter never
+    /// routes more than `max_augmentations` paths in this call). On
+    /// `Err(BudgetExceeded)` the network holds a valid partial flow that a
+    /// later call with a fresh meter resumes; on `Ok` the value is the flow
+    /// added by *this* call, as with [`Self::max_flow`].
     pub fn max_flow_budgeted(
         &mut self,
         source: usize,
@@ -372,8 +347,82 @@ impl<N: FlowNum> ArenaNetwork<N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FlowNetwork;
     use mm_numeric::Rat;
+    use std::fmt::Debug;
+
+    /// Solves `edges` from node 0 to node `n − 1` twice — with `max_flow`
+    /// and with an unlimited meter — and checks both against the expected
+    /// flow value and augmenting-path count.
+    fn check<N: FlowNum + Debug>(
+        name: &str,
+        n: usize,
+        edges: &[(usize, usize, N)],
+        flow: N,
+        paths: u64,
+    ) {
+        let build = || {
+            let mut net = ArenaNetwork::<N>::new(n);
+            for (u, v, c) in edges {
+                net.add_edge(*u, *v, c.clone());
+            }
+            net
+        };
+        let (mut plain, mut metered) = (build(), build());
+        assert_eq!(plain.max_flow(0, n - 1), flow, "{name}");
+        assert_eq!(plain.augmentations(), paths, "{name}");
+        let unlimited = metered.max_flow_budgeted(0, n - 1, &mut BudgetMeter::unlimited());
+        assert_eq!(unlimited, Ok(flow), "{name}: unlimited meter");
+        assert_eq!(metered.augmentations(), paths, "{name}: unlimited meter");
+        // A second solve finds no further path.
+        assert_eq!(plain.max_flow(0, n - 1), N::zero(), "{name}: re-run");
+        assert_eq!(plain.augmentations(), paths, "{name}: re-run");
+    }
+
+    /// `(name, nodes, edges, max flow, augmenting paths)`.
+    type Case = (
+        &'static str,
+        usize,
+        &'static [(usize, usize, u64)],
+        u64,
+        u64,
+    );
+
+    #[test]
+    fn known_graphs() {
+        #[rustfmt::skip]
+        let cases: &[Case] = &[
+            ("single edge", 2, &[(0, 1, 7)], 7, 1),
+            ("disconnected", 4, &[(0, 1, 5), (2, 3, 5)], 0, 0),
+            ("bottleneck path", 4, &[(0, 1, 10), (1, 2, 1), (2, 3, 10)], 1, 1),
+            ("two unit paths", 4, &[(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)], 2, 2),
+            // 3 × 3 bipartite matching L1–{R1,R2}, L2–{R1}, L3–{R2,R3}: the
+            // third unit needs a second phase that reroutes L1 and L3.
+            ("bipartite matching", 8, &[
+                (0, 1, 1), (0, 2, 1), (0, 3, 1), (4, 7, 1), (5, 7, 1), (6, 7, 1),
+                (1, 4, 1), (1, 5, 1), (2, 4, 1), (3, 5, 1), (3, 6, 1),
+            ], 3, 3),
+        ];
+        for &(name, n, edges, flow, paths) in cases {
+            check(name, n, edges, flow, paths);
+        }
+        let r = Rat::ratio;
+        let mixed = [(0, 1, r(1, 2)), (0, 1, r(1, 3)), (1, 2, r(1, 7))];
+        check("mixed denominators", 3, &mixed, r(1, 7), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "self-loops")]
+    fn self_loop_rejected() {
+        ArenaNetwork::<u64>::new(2).add_edge(1, 1, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "lower the capacity")]
+    fn raise_capacity_rejects_decrease() {
+        let mut net = ArenaNetwork::<u64>::new(2);
+        let e = net.add_edge(0, 1, 5);
+        net.raise_capacity(e, 3);
+    }
 
     #[test]
     fn diamond_and_readback() {
@@ -389,39 +438,6 @@ mod tests {
         assert_eq!(net.flow(e1), net.flow(e3) + net.flow(e5));
         // Idempotent re-run.
         assert_eq!(net.max_flow(0, 3), 0);
-    }
-
-    #[test]
-    fn matches_vec_network_path_for_path() {
-        // Same graph, same insertion order: identical flow value *and*
-        // identical augmentation counter.
-        let edges = [
-            (0usize, 1usize, 4u64),
-            (0, 2, 6),
-            (1, 2, 2),
-            (1, 3, 3),
-            (2, 4, 5),
-            (3, 5, 4),
-            (4, 5, 7),
-            (4, 3, 1),
-        ];
-        let mut old = FlowNetwork::<u64>::new(6);
-        let mut arena = ArenaNetwork::<u64>::new(6);
-        for &(u, v, c) in &edges {
-            old.add_edge(u, v, c);
-            arena.add_edge(u, v, c);
-        }
-        assert_eq!(arena.max_flow(0, 5), old.max_flow(0, 5));
-        assert_eq!(arena.augmentations(), old.augmentations());
-    }
-
-    #[test]
-    fn rational_capacities() {
-        let mut net = ArenaNetwork::<Rat>::new(3);
-        net.add_edge(0, 1, Rat::ratio(1, 2));
-        net.add_edge(0, 1, Rat::ratio(1, 3));
-        net.add_edge(1, 2, Rat::ratio(1, 7));
-        assert_eq!(net.max_flow(0, 2), Rat::ratio(1, 7));
     }
 
     #[test]
@@ -485,35 +501,6 @@ mod tests {
         assert!(matches!(err, BudgetExceeded::Augmentations { limit: 2 }));
         assert_eq!(net.max_flow(0, 5), 2);
         assert_eq!(net.augmentations(), 4);
-    }
-
-    #[test]
-    fn meter_protocol_matches_vec_network() {
-        use mm_fault::{Budget, BudgetMeter};
-        // Run both networks under every augmentation budget from starving
-        // to generous: tick-for-tick agreement means they trip identically.
-        let edges = [
-            (0usize, 1usize, 2u64),
-            (0, 2, 2),
-            (1, 3, 1),
-            (1, 4, 1),
-            (2, 4, 2),
-            (3, 5, 2),
-            (4, 5, 2),
-        ];
-        for limit in 1..8 {
-            let mut old = FlowNetwork::<u64>::new(6);
-            let mut arena = ArenaNetwork::<u64>::new(6);
-            for &(u, v, c) in &edges {
-                old.add_edge(u, v, c);
-                arena.add_edge(u, v, c);
-            }
-            let budget = Budget::unlimited().with_augmentations(limit);
-            let a = old.max_flow_budgeted(0, 5, &mut BudgetMeter::new(&budget));
-            let b = arena.max_flow_budgeted(0, 5, &mut BudgetMeter::new(&budget));
-            assert_eq!(a, b, "limit {limit}");
-            assert_eq!(old.augmentations(), arena.augmentations(), "limit {limit}");
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Property tests: Dinic vs an independent Edmonds–Karp reference on random
-//! graphs, plus min-cut consistency.
+//! Property tests: `ArenaNetwork` (Dinic) vs an independent Edmonds–Karp
+//! reference on random graphs, plus min-cut consistency.
 
-use mm_flow::{ArenaNetwork, FlowNetwork};
+use mm_flow::ArenaNetwork;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -58,15 +58,18 @@ proptest! {
 
     #[test]
     fn dinic_matches_edmonds_karp((n, edges) in arb_graph()) {
+        // On `u64` and on the production tick type `i128`.
         let s = 0;
         let t = n - 1;
-        let mut net = FlowNetwork::<u64>::new(n);
+        let mut net = ArenaNetwork::<u64>::new(n);
+        let mut ticks = ArenaNetwork::<i128>::new(n);
         for &(u, v, c) in &edges {
             net.add_edge(u, v, c);
+            ticks.add_edge(u, v, c as i128);
         }
-        let dinic = net.max_flow(s, t);
         let reference = reference_max_flow(n, &edges, s, t);
-        prop_assert_eq!(dinic, reference);
+        prop_assert_eq!(net.max_flow(s, t), reference);
+        prop_assert_eq!(ticks.max_flow(s, t), reference as i128);
     }
 
     #[test]
@@ -76,8 +79,8 @@ proptest! {
         let s = 0;
         let t = n - 1;
         let c = Rat::ratio(num, den);
-        let mut int_net = FlowNetwork::<u64>::new(n);
-        let mut rat_net = FlowNetwork::<Rat>::new(n);
+        let mut int_net = ArenaNetwork::<u64>::new(n);
+        let mut rat_net = ArenaNetwork::<Rat>::new(n);
         for &(u, v, w) in &edges {
             int_net.add_edge(u, v, w);
             rat_net.add_edge(u, v, Rat::from(w) * &c);
@@ -88,20 +91,20 @@ proptest! {
     }
 
     #[test]
-    fn arena_matches_vec_network((n, edges) in arb_graph()) {
-        // The SoA arena must reproduce the old network's max-flow value —
-        // and, because it appends adjacency in insertion order, its exact
-        // augmenting-path count too.
+    fn min_cut_has_the_reference_value_and_is_saturated((n, edges) in arb_graph()) {
         let s = 0;
         let t = n - 1;
-        let mut old = FlowNetwork::<u64>::new(n);
-        let mut arena = ArenaNetwork::<u64>::new(n);
+        let mut net = ArenaNetwork::<u64>::new(n);
         for &(u, v, c) in &edges {
-            old.add_edge(u, v, c);
-            arena.add_edge(u, v, c);
+            net.add_edge(u, v, c);
         }
-        prop_assert_eq!(arena.max_flow(s, t), old.max_flow(s, t));
-        prop_assert_eq!(arena.augmentations(), old.augmentations());
+        net.max_flow(s, t);
+        let cut = net.min_cut(s);
+        let cut_cap: u64 = cut.iter().map(|&h| net.capacity(h)).sum();
+        prop_assert_eq!(cut_cap, reference_max_flow(n, &edges, s, t));
+        for h in cut {
+            prop_assert_eq!(net.flow(h), net.capacity(h));
+        }
     }
 
     #[test]
@@ -125,7 +128,7 @@ proptest! {
     fn per_edge_flows_are_valid((n, edges) in arb_graph()) {
         let s = 0;
         let t = n - 1;
-        let mut net = FlowNetwork::<u64>::new(n);
+        let mut net = ArenaNetwork::<u64>::new(n);
         let handles: Vec<_> = edges.iter().map(|&(u, v, c)| (u, v, c, net.add_edge(u, v, c))).collect();
         let total = net.max_flow(s, t);
         // capacity constraints

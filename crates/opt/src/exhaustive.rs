@@ -104,7 +104,7 @@ pub fn exhaustive_contribution_bound(instance: &Instance) -> Certificate {
 mod tests {
     use super::*;
     use crate::certificate::contribution_bound;
-    use crate::feasibility::optimal_machines;
+    use crate::feasibility::{optimal_machines, FeasibilityProber};
 
     #[test]
     fn empty_and_single() {
@@ -127,7 +127,8 @@ mod tests {
                 },
                 seed,
             );
-            if elementary_intervals(&inst).len() > EXHAUSTIVE_LIMIT {
+            let cells = elementary_intervals(&inst).len();
+            if cells > EXHAUSTIVE_LIMIT {
                 continue;
             }
             let exhaustive = exhaustive_contribution_bound(&inst);
@@ -141,6 +142,25 @@ mod tests {
             // and the greedy certificate sits in between
             let greedy = contribution_bound(&inst);
             assert!(greedy.bound <= exhaustive.bound);
+            // A deep affine image has 7^24 denominators, so the prober
+            // leaves integer ticks for the exact `Rat` network; Theorem 1
+            // by enumeration checks that backend independently. Enumerating
+            // with such denominators is slow, so only the smaller instances
+            // (12 of the 20 seeds) take this second pass.
+            if cells > 8 {
+                continue;
+            }
+            let (scale, offset) = (Rat::ratio(3, 7), Rat::ratio(1, 9));
+            let mut deep = inst.clone();
+            for _ in 0..24 {
+                deep = deep.affine(&Rat::zero(), &offset, &scale);
+            }
+            assert!(!FeasibilityProber::new(&deep).uses_integer_ticks());
+            assert_eq!(
+                optimal_machines(&deep),
+                exhaustive_contribution_bound(&deep).bound,
+                "seed {seed}: deep affine image"
+            );
         }
     }
 

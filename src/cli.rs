@@ -37,7 +37,7 @@ use mm_trace::{
 
 pub use crate::Error;
 
-/// A parsed command line; its flags, defaults and help live in [`SPECS`].
+/// A parsed command line; its flags, defaults and help live in `SPECS`.
 // One `Command` exists per process and lives on the stack for the whole
 // run, so the size skew between the flag-heavy `Cluster` variant and the
 // rest costs nothing; boxing fields would only obscure the parser.
